@@ -51,6 +51,26 @@ runtime::GroupBySpec MakeSpec(int num_aggs) {
   return spec;
 }
 
+// Two int32 key columns shaped like a store x promo grouping (100 x 300
+// values, ~30k groups at 200k rows). GroupByPlan packs them into one
+// 64-bit key with the first column in the high 32 bits, the layout that
+// clustered device-table probes when the home slot masked the raw key.
+std::shared_ptr<columnar::Table> MakePackedKeyTable(uint64_t rows) {
+  columnar::Schema schema;
+  schema.AddField({"k", columnar::DataType::kInt32, false});
+  schema.AddField({"k2", columnar::DataType::kInt32, false});
+  schema.AddField({"v", columnar::DataType::kInt64, false});
+  auto t = std::make_shared<columnar::Table>(schema);
+  Rng rng(7);
+  t->Reserve(rows);
+  for (uint64_t i = 0; i < rows; ++i) {
+    t->column(0).AppendInt32(static_cast<int32_t>(rng.Below(100)));
+    t->column(1).AppendInt32(static_cast<int32_t>(rng.Below(300)));
+    t->column(2).AppendInt64(rng.Range(0, 1000));
+  }
+  return t;
+}
+
 struct Fixture {
   gpusim::DeviceSpec spec;
   gpusim::HostSpec host;
@@ -65,12 +85,13 @@ Fixture& GetFixture() {
   return *f;
 }
 
-// Forces a specific kernel through moderator options.
-void RunGpuGroupBy(benchmark::State& state, uint64_t groups, int num_aggs) {
+// Runs the device group-by end to end (staging, upload, kernel, readback);
+// `moderator` picks the kernel.
+void RunGpuGroupBy(benchmark::State& state, const columnar::Table& table,
+                   const runtime::GroupBySpec& spec,
+                   groupby::GpuModerator* moderator) {
   Fixture& f = GetFixture();
-  const uint64_t rows = static_cast<uint64_t>(state.range(0));
-  auto table = MakeTable(rows, groups);
-  auto plan = runtime::GroupByPlan::Make(*table, MakeSpec(num_aggs));
+  auto plan = runtime::GroupByPlan::Make(table, spec);
   if (!plan.ok()) {
     state.SkipWithError(plan.status().ToString().c_str());
     return;
@@ -78,7 +99,7 @@ void RunGpuGroupBy(benchmark::State& state, uint64_t groups, int num_aggs) {
   for (auto _ : state) {
     groupby::GpuGroupByStats stats;
     auto out = groupby::GpuGroupBy::Execute(plan.value(), &f.device,
-                                            &f.pinned, &f.pool, &f.moderator,
+                                            &f.pinned, &f.pool, moderator,
                                             nullptr, {}, &stats);
     if (!out.ok()) {
       state.SkipWithError(out.status().ToString().c_str());
@@ -86,7 +107,26 @@ void RunGpuGroupBy(benchmark::State& state, uint64_t groups, int num_aggs) {
     }
     benchmark::DoNotOptimize(out->num_groups);
   }
-  state.SetItemsProcessed(static_cast<int64_t>(rows) * state.iterations());
+  state.SetItemsProcessed(static_cast<int64_t>(table.num_rows()) *
+                          state.iterations());
+}
+
+void RunGpuGroupBy(benchmark::State& state, uint64_t groups, int num_aggs) {
+  auto table = MakeTable(static_cast<uint64_t>(state.range(0)), groups);
+  RunGpuGroupBy(state, *table, MakeSpec(num_aggs), &GetFixture().moderator);
+}
+
+// Packed two-column key, ~30k groups, SUM + COUNT; `options` force the
+// kernel under test past the moderator's group-count rules.
+void RunPackedKeyGroupBy(benchmark::State& state,
+                         const groupby::ModeratorOptions& options) {
+  auto table = MakePackedKeyTable(static_cast<uint64_t>(state.range(0)));
+  runtime::GroupBySpec spec;
+  spec.key_columns = {0, 1};
+  spec.aggregates = {{runtime::AggFn::kSum, 2, "s"},
+                     {runtime::AggFn::kCount, -1, "c"}};
+  groupby::GpuModerator moderator(options);
+  RunGpuGroupBy(state, *table, spec, &moderator);
 }
 
 void BM_GpuGroupBy_Regular(benchmark::State& state) {
@@ -97,6 +137,22 @@ void BM_GpuGroupBy_SharedMem(benchmark::State& state) {
 }
 void BM_GpuGroupBy_RowLock(benchmark::State& state) {
   RunGpuGroupBy(state, /*groups=*/50000, /*num_aggs=*/6);
+}
+
+void BM_GpuGroupBy_PackedKey_Regular(benchmark::State& state) {
+  groupby::ModeratorOptions options;
+  options.low_contention_rows_per_group = 0.0;  // never prefer kernel 3
+  RunPackedKeyGroupBy(state, options);
+}
+void BM_GpuGroupBy_PackedKey_SharedMem(benchmark::State& state) {
+  groupby::ModeratorOptions options;
+  options.shared_table_max_fill = 1e9;  // kernel 2 despite ~30k groups
+  RunPackedKeyGroupBy(state, options);
+}
+void BM_GpuGroupBy_PackedKey_RowLock(benchmark::State& state) {
+  groupby::ModeratorOptions options;
+  options.many_aggregates_threshold = 0;  // kernel 3 for any aggregate
+  RunPackedKeyGroupBy(state, options);
 }
 
 void BM_CpuGroupBy(benchmark::State& state) {
@@ -161,6 +217,15 @@ void BM_HybridSort(benchmark::State& state) {
 BENCHMARK(BM_GpuGroupBy_Regular)->Arg(100000)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_GpuGroupBy_SharedMem)->Arg(100000)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_GpuGroupBy_RowLock)->Arg(100000)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_GpuGroupBy_PackedKey_Regular)
+    ->Arg(200000)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_GpuGroupBy_PackedKey_SharedMem)
+    ->Arg(200000)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_GpuGroupBy_PackedKey_RowLock)
+    ->Arg(200000)
+    ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_CpuGroupBy)->Arg(100000)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_GpuRadixSort)->Arg(1 << 17)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_HybridSort)->Arg(100000)->Unit(benchmark::kMillisecond);

@@ -23,12 +23,6 @@ inline uint64_t Mix64(uint64_t k) {
   return k;
 }
 
-// Mod-hash for keys <= 64 bit (section 4.3.1: "For keys smaller than 64 bit
-// we use a mod hash function"). `buckets` must be > 0.
-inline uint64_t ModHash(uint64_t key, uint64_t buckets) {
-  return key % buckets;
-}
-
 // Capacity policy shared by the device hash table (groupby/layout) and the
 // CPU flat aggregation table: "slightly larger than the estimated number of
 // groups" (section 4.3.1) with 1.5x headroom so the linear-probe load factor

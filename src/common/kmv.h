@@ -37,11 +37,24 @@ class KmvSketch {
  private:
   void SiftUp(size_t i);
   void SiftDown(size_t i);
+
+  // Membership over the kept hashes, so the duplicate check every row pays
+  // costs O(1) instead of a scan of up to k values.
+  size_t HomeSlot(uint64_t hash) const;
   bool Contains(uint64_t hash) const;
+  void Insert(uint64_t hash);
+  void Erase(uint64_t hash);
 
   size_t k_;
   // Max-heap of the k smallest hash values (root = largest of the kept set).
   std::vector<uint64_t> heap_;
+  // Linear-probe set holding exactly the values in heap_: a power of two of
+  // at least 2k slots, kFreeSlot marking a free one. kFreeSlot is itself a
+  // valid hash, so whether it is kept lives in kept_free_value_ instead.
+  static constexpr uint64_t kFreeSlot = ~0ULL;
+  std::vector<uint64_t> slots_;
+  int slot_shift_ = 0;  // HomeSlot takes the top log2(slots) product bits
+  bool kept_free_value_ = false;
 };
 
 }  // namespace blusim

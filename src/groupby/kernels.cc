@@ -30,6 +30,10 @@ using runtime::AggFn;
 using runtime::AggSlot;
 using runtime::WideKey;
 
+uint64_t NarrowHomeSlot(uint64_t key, uint64_t capacity) {
+  return Mix64(key) & (capacity - 1);
+}
+
 namespace {
 
 // ---------- input value access ----------
@@ -158,7 +162,7 @@ SlotValue LoadRowSlot(const GroupByKernelArgs& args, size_t s, uint64_t i) {
 // entry pointer or nullptr when the table is full.
 char* FindOrInsertNarrow(char* table, const HashTableLayout& layout,
                          uint64_t capacity, uint64_t key, uint32_t row_id) {
-  uint64_t pos = ModHash(key, capacity);  // mod hash for narrow keys
+  uint64_t pos = NarrowHomeSlot(key, capacity);
   for (uint64_t probes = 0; probes < capacity; ++probes) {
     char* entry = table + pos * static_cast<uint64_t>(layout.entry_bytes());
     uint64_t* keyp = reinterpret_cast<uint64_t*>(entry);
@@ -464,7 +468,7 @@ Status RunKernelSharedMem(gpusim::SimDevice* device,
       const uint64_t key = LoadRowKey(args, i);
       // Probe the shared table (plain ops; see memory-model note).
       char* entry = nullptr;
-      uint64_t pos = ModHash(key, shared_cap);
+      uint64_t pos = NarrowHomeSlot(key, shared_cap);
       for (uint64_t probes = 0; probes < shared_cap; ++probes) {
         char* e = ctx.shared_mem + pos * entry_bytes;
         uint64_t cur;

@@ -77,6 +77,17 @@ Status InitHashTable(gpusim::SimDevice* device, const HashTableLayout& layout,
                      const runtime::GroupByPlan& plan, char* table,
                      uint64_t capacity);
 
+// Home slot of a <= 64-bit packed key in a power-of-two hash table: the
+// mod hash of section 4.3.1 ("for keys smaller than 64 bit we use a mod
+// hash function"), taken over the HASH evaluator's Mix64 of the key, the
+// value the KMV sketch and the CPU flat table also consume. The raw packed
+// key cannot be used: PackKey puts the first key column in the high bits,
+// so a mask of it would see only the last column. Every narrow-key probe
+// of kernels 1-3 (global and shared-memory tables) starts here. It uses
+// the low hash bits; HashPartition shards by the top bits of the same
+// hash, so shard choice and probe position stay independent.
+uint64_t NarrowHomeSlot(uint64_t key, uint64_t capacity);
+
 // Largest power-of-two shared-memory table capacity fitting `budget_bytes`
 // (0 if even a 16-entry table does not fit).
 uint64_t SharedTableCapacity(const HashTableLayout& layout,

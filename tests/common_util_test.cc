@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <iterator>
 #include <set>
 #include <unordered_set>
 
@@ -103,11 +104,6 @@ TEST(HashTest, Mix64IsBijectiveOnSample) {
   EXPECT_EQ(out.size(), 5000u);
 }
 
-TEST(HashTest, ModHash) {
-  EXPECT_EQ(ModHash(17, 5), 2u);
-  EXPECT_EQ(ModHash(0, 7), 0u);
-}
-
 class KmvAccuracyTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(KmvAccuracyTest, EstimateWithin15Percent) {
@@ -149,6 +145,74 @@ TEST(KmvTest, MergeEquivalentToUnion) {
   }
   a.Merge(b);
   EXPECT_EQ(a.Estimate(), all.Estimate());
+}
+
+// Naive KMV over a sorted set of the k smallest distinct hashes: the
+// sketch's estimate depends only on that set, so it must match exactly.
+class NaiveKmv {
+ public:
+  explicit NaiveKmv(size_t k) : k_(k) {}
+  void AddHash(uint64_t hash) {
+    if (kept_.size() < k_) {
+      kept_.insert(hash);
+    } else if (hash < *kept_.rbegin() && kept_.count(hash) == 0) {
+      kept_.erase(std::prev(kept_.end()));
+      kept_.insert(hash);
+    }
+  }
+  uint64_t Estimate() const {
+    if (kept_.size() < k_) return kept_.size();
+    const double hk = static_cast<double>(*kept_.rbegin()) /
+                      18446744073709551616.0;
+    if (hk <= 0.0) return kept_.size();
+    return static_cast<uint64_t>((static_cast<double>(k_) - 1.0) / hk);
+  }
+  size_t size() const { return kept_.size(); }
+
+ private:
+  size_t k_;
+  std::set<uint64_t> kept_;
+};
+
+TEST(KmvTest, MatchesNaiveReference) {
+  // Small k forces evictions and wrap-around in the membership set; draws
+  // from a bounded pool repeat values; the all-ones hash (the set's free
+  // marker) and clustered small values mix in. A descending stream makes
+  // every add past k evict the root.
+  std::vector<std::vector<uint64_t>> streams;
+  Rng rng(21);
+  for (uint64_t pool : {5ULL, 300ULL, 100000ULL}) {
+    std::vector<uint64_t> stream;
+    for (int i = 0; i < 20000; ++i) {
+      switch (rng.Below(8)) {
+        case 0: stream.push_back(~0ULL); break;
+        case 1: stream.push_back(rng.Below(pool)); break;
+        default: stream.push_back(Mix64(rng.Below(pool))); break;
+      }
+    }
+    streams.push_back(std::move(stream));
+  }
+  std::vector<uint64_t> descending;
+  for (uint64_t v = 20000; v > 0; --v) {
+    descending.push_back(v << 20);
+    descending.push_back(v << 20);
+  }
+  streams.push_back(std::move(descending));
+
+  for (size_t k : {1u, 2u, 3u, 7u, 64u, 256u}) {
+    for (size_t s = 0; s < streams.size(); ++s) {
+      KmvSketch sketch(k);
+      NaiveKmv naive(k);
+      for (size_t i = 0; i < streams[s].size(); ++i) {
+        sketch.AddHash(streams[s][i]);
+        naive.AddHash(streams[s][i]);
+        ASSERT_EQ(sketch.size(), naive.size())
+            << "k=" << k << " stream=" << s << " i=" << i;
+        ASSERT_EQ(sketch.Estimate(), naive.Estimate())
+            << "k=" << k << " stream=" << s << " i=" << i;
+      }
+    }
+  }
 }
 
 TEST(BitUtilTest, NextPow2) {
