@@ -7,7 +7,11 @@
 // Emits BENCH_cpu_groupby.json with rows/sec for low-, mid- and
 // high-cardinality keys at 1 thread and N threads, so the perf trajectory
 // of the CPU chain (which feeds the T1/T2/T3 routing decisions) stays
-// measurable.
+// measurable. A fourth case, near_unique_wide, has the shape of the
+// oversize ROLAP queries Q35-Q46 (three int32 key columns, ~rows groups,
+// five aggregates); the baseline handles packed keys only, so that case
+// reports the flat path alone and checks its group count against a
+// serial flat run instead. Exits 1 when a group count check fails.
 //
 // Env knobs: BLUSIM_BENCH_ROWS (default 2000000), BLUSIM_BENCH_REPS
 // (default 3, best-of), BLUSIM_BENCH_THREADS (default hardware).
@@ -121,6 +125,7 @@ struct CaseResult {
   std::string name;
   uint64_t groups_target = 0;
   uint64_t groups_actual = 0;
+  bool has_legacy = false;
   double flat_t1 = 0, flat_tn = 0;      // rows/sec
   double legacy_t1 = 0, legacy_tn = 0;  // rows/sec
 };
@@ -137,6 +142,36 @@ columnar::Table MakeTable(uint64_t rows, uint64_t groups) {
     t.column(0).AppendInt64(
         static_cast<int64_t>(Mix64(rng.Below(groups)) >> 8));
     t.column(1).AppendInt64(rng.Range(-1000, 1000));
+  }
+  return t;
+}
+
+// ROLAP-Q36 shape: (customer, item, date) int32 key over ~rows distinct
+// draws, with float, decimal and count payloads.
+columnar::Table MakeWideTable(uint64_t rows) {
+  using columnar::DataType;
+  columnar::Schema schema;
+  schema.AddField({"customer", DataType::kInt32, false});
+  schema.AddField({"item", DataType::kInt32, false});
+  schema.AddField({"date", DataType::kInt32, false});
+  schema.AddField({"net_paid", DataType::kFloat64, false});
+  schema.AddField({"net_profit", DataType::kFloat64, false});
+  schema.AddField({"ext_tax", DataType::kDecimal128, false});
+  schema.AddField({"list_price", DataType::kFloat64, false});
+  columnar::Table t(schema);
+  t.Reserve(rows);
+  Rng rng(rows);
+  for (uint64_t r = 0; r < rows; ++r) {
+    const uint64_t id = rng.Below(rows);
+    t.column(0).AppendInt32(static_cast<int32_t>(id % 100000));
+    t.column(1).AppendInt32(static_cast<int32_t>(id / 100000 % 18000));
+    t.column(2).AppendInt32(static_cast<int32_t>(id % 1823));
+    t.column(3).AppendDouble(static_cast<double>(rng.Range(0, 100000)) / 100);
+    t.column(4).AppendDouble(static_cast<double>(rng.Range(-5000, 5000)) /
+                             100);
+    t.column(5).AppendDecimal(columnar::Decimal128(rng.Range(0, 9999)));
+    t.column(6).AppendDouble(static_cast<double>(rng.Range(100, 30000)) /
+                             100);
   }
   return t;
 }
@@ -173,20 +208,32 @@ int main() {
   struct CaseSpec {
     const char* name;
     uint64_t groups;
+    bool wide;
   };
   const CaseSpec cases[] = {
-      {"low_cardinality", 64},
-      {"mid_cardinality", 65536},
-      {"high_cardinality", rows},  // groups ~= rows
+      {"low_cardinality", 64, false},
+      {"mid_cardinality", 65536, false},
+      {"high_cardinality", rows, false},  // groups ~= rows
+      {"near_unique_wide", rows, true},
   };
 
   ThreadPool pool(threads);
   std::vector<CaseResult> results;
   for (const CaseSpec& c : cases) {
-    columnar::Table t = MakeTable(rows, c.groups);
+    columnar::Table t =
+        c.wide ? MakeWideTable(rows) : MakeTable(rows, c.groups);
     GroupBySpec spec;
-    spec.key_columns = {0};
-    spec.aggregates = {{AggFn::kSum, 1, "s"}, {AggFn::kCount, -1, "n"}};
+    if (c.wide) {
+      spec.key_columns = {0, 1, 2};
+      spec.aggregates = {{AggFn::kSum, 3, "revenue"},
+                         {AggFn::kSum, 4, "profit"},
+                         {AggFn::kSum, 5, "tax"},
+                         {AggFn::kMax, 6, "max_list"},
+                         {AggFn::kCount, -1, "n"}};
+    } else {
+      spec.key_columns = {0};
+      spec.aggregates = {{AggFn::kSum, 1, "s"}, {AggFn::kCount, -1, "n"}};
+    }
     auto plan = GroupByPlan::Make(t, spec);
     if (!plan.ok()) {
       std::fprintf(stderr, "plan: %s\n", plan.status().ToString().c_str());
@@ -196,6 +243,7 @@ int main() {
     CaseResult r;
     r.name = c.name;
     r.groups_target = c.groups;
+    r.has_legacy = !c.wide;
     {
       auto out = CpuGroupBy::Execute(plan.value(), &pool);
       if (!out.ok()) {
@@ -204,26 +252,46 @@ int main() {
       }
       r.groups_actual = out->num_groups;
     }
+    // Cross-check the group count against the baseline; the wide case has
+    // none, so it checks against the serial flat run, which always
+    // pre-aggregates each morsel locally.
+    auto check = r.has_legacy ? LegacyCpuGroupBy(plan.value(), &pool)
+                              : CpuGroupBy::Execute(plan.value(), nullptr);
+    if (!check.ok() || check->num_groups != r.groups_actual) {
+      std::fprintf(stderr, "%s: flat found %llu groups, %s %s\n", c.name,
+                   static_cast<unsigned long long>(r.groups_actual),
+                   r.has_legacy ? "baseline" : "serial flat",
+                   check.ok() ? std::to_string(check->num_groups).c_str()
+                              : check.status().ToString().c_str());
+      return 1;
+    }
     r.flat_t1 = MeasureRowsPerSec(rows, reps, [&] {
       (void)CpuGroupBy::Execute(plan.value(), nullptr);
     });
     r.flat_tn = MeasureRowsPerSec(rows, reps, [&] {
       (void)CpuGroupBy::Execute(plan.value(), &pool);
     });
-    r.legacy_t1 = MeasureRowsPerSec(rows, reps, [&] {
-      (void)LegacyCpuGroupBy(plan.value(), nullptr);
-    });
-    r.legacy_tn = MeasureRowsPerSec(rows, reps, [&] {
-      (void)LegacyCpuGroupBy(plan.value(), &pool);
-    });
+    if (r.has_legacy) {
+      r.legacy_t1 = MeasureRowsPerSec(rows, reps, [&] {
+        (void)LegacyCpuGroupBy(plan.value(), nullptr);
+      });
+      r.legacy_tn = MeasureRowsPerSec(rows, reps, [&] {
+        (void)LegacyCpuGroupBy(plan.value(), &pool);
+      });
+    }
     results.push_back(r);
-    std::printf(
-        "%-17s groups=%-8llu  flat 1T %7.2f Mrows/s  %dT %7.2f Mrows/s | "
-        "legacy 1T %7.2f Mrows/s  %dT %7.2f Mrows/s | multi speedup %.2fx\n",
-        r.name.c_str(),
-        static_cast<unsigned long long>(r.groups_actual), r.flat_t1 / 1e6,
-        threads, r.flat_tn / 1e6, r.legacy_t1 / 1e6, threads,
-        r.legacy_tn / 1e6, r.flat_tn / r.legacy_tn);
+    std::printf("%-17s groups=%-8llu  flat 1T %7.2f Mrows/s  %dT %7.2f Mrows/s",
+                r.name.c_str(),
+                static_cast<unsigned long long>(r.groups_actual),
+                r.flat_t1 / 1e6, threads, r.flat_tn / 1e6);
+    if (r.has_legacy) {
+      std::printf(
+          " | legacy 1T %7.2f Mrows/s  %dT %7.2f Mrows/s | multi speedup "
+          "%.2fx",
+          r.legacy_t1 / 1e6, threads, r.legacy_tn / 1e6,
+          r.flat_tn / r.legacy_tn);
+    }
+    std::printf("\n");
   }
 
   FILE* f = std::fopen("BENCH_cpu_groupby.json", "w");
@@ -238,18 +306,22 @@ int main() {
                static_cast<unsigned long long>(rows), reps, threads);
   for (size_t i = 0; i < results.size(); ++i) {
     const CaseResult& r = results[i];
-    std::fprintf(
-        f,
-        "    {\"case\": \"%s\", \"groups\": %llu,\n"
-        "     \"after_flat\": {\"rows_per_sec_1t\": %.0f, "
-        "\"rows_per_sec_nt\": %.0f},\n"
-        "     \"before_unordered_map\": {\"rows_per_sec_1t\": %.0f, "
-        "\"rows_per_sec_nt\": %.0f},\n"
-        "     \"speedup_1t\": %.3f, \"speedup_nt\": %.3f}%s\n",
-        r.name.c_str(), static_cast<unsigned long long>(r.groups_actual),
-        r.flat_t1, r.flat_tn, r.legacy_t1, r.legacy_tn,
-        r.flat_t1 / r.legacy_t1, r.flat_tn / r.legacy_tn,
-        i + 1 < results.size() ? "," : "");
+    std::fprintf(f,
+                 "    {\"case\": \"%s\", \"groups\": %llu,\n"
+                 "     \"after_flat\": {\"rows_per_sec_1t\": %.0f, "
+                 "\"rows_per_sec_nt\": %.0f}",
+                 r.name.c_str(),
+                 static_cast<unsigned long long>(r.groups_actual), r.flat_t1,
+                 r.flat_tn);
+    if (r.has_legacy) {
+      std::fprintf(f,
+                   ",\n     \"before_unordered_map\": {\"rows_per_sec_1t\": "
+                   "%.0f, \"rows_per_sec_nt\": %.0f},\n"
+                   "     \"speedup_1t\": %.3f, \"speedup_nt\": %.3f",
+                   r.legacy_t1, r.legacy_tn, r.flat_t1 / r.legacy_t1,
+                   r.flat_tn / r.legacy_tn);
+    }
+    std::fprintf(f, "}%s\n", i + 1 < results.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);

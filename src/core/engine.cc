@@ -79,6 +79,12 @@ int ScanWidth(const Table& table, const std::vector<Predicate>& predicates) {
   return std::max(width, 4);
 }
 
+// LIMIT pushed below a sort: keep only the first `limit` rows of the sorted
+// permutation, so the rows the LIMIT drops are never materialized.
+void TruncateToLimit(uint64_t limit, std::vector<uint32_t>* perm) {
+  if (limit > 0 && perm->size() > limit) perm->resize(limit);
+}
+
 void AppendValue(const Column& src, uint32_t row, Column* dst) {
   if (src.IsNull(row)) {
     dst->AppendNull();
@@ -800,11 +806,13 @@ Result<QueryResult> Engine::Execute(const QuerySpec& query,
           std::vector<uint32_t> perm,
           sort::HybridSorter::Sort(*result, query.order_by, options,
                                    &stats));
+      const uint64_t sorted_rows = perm.size();
+      TruncateToLimit(query.limit, &perm);
       BLUSIM_ASSIGN_OR_RETURN(result, MaterializeRows(*result, perm, {}));
       PhaseRecord sp;
       sp.kind = PhaseRecord::Kind::kCpu;
       sp.label = "sort-result";
-      sp.cpu_work = cost_.HostSortTime(perm.size(), 1);
+      sp.cpu_work = cost_.HostSortTime(sorted_rows, 1);
       sp.dop = config_.query_dop;
       RecordPhase(std::move(sp), obs::kCatCpu, &profile, &trace);
       profile.sort_path = ExecutionPath::kCpu;
@@ -864,6 +872,7 @@ Result<QueryResult> Engine::Execute(const QuerySpec& query,
       BLUSIM_ASSIGN_OR_RETURN(
           std::vector<uint32_t> perm,
           sort::HybridSorter::Sort(*base, query.order_by, options, &stats));
+      TruncateToLimit(query.limit, &perm);
       BLUSIM_ASSIGN_OR_RETURN(result, MaterializeRows(*base, perm, {}));
 
       PhaseRecord keygen;
@@ -899,7 +908,7 @@ Result<QueryResult> Engine::Execute(const QuerySpec& query,
     RecordPhase(std::move(mp), obs::kCatCpu, &profile, &trace);
   }
 
-  // --- Limit ---
+  // --- Limit (the sorting paths already truncated their permutation) ---
   if (query.limit > 0 && result->num_rows() > query.limit) {
     std::vector<uint32_t> head(query.limit);
     std::iota(head.begin(), head.end(), 0);

@@ -78,7 +78,9 @@ class SimDevice {
   KernelLauncher launcher_;
   PerfMonitor monitor_;
   std::atomic<int> outstanding_jobs_{0};
-  SharedMemConfig shared_config_ = SharedMemConfig::kEqual32;
+  // Atomic: concurrent queries' kernel-2 launches set it while other
+  // group-bys on the same device read it.
+  std::atomic<SharedMemConfig> shared_config_{SharedMemConfig::kEqual32};
 };
 
 }  // namespace blusim::gpusim

@@ -14,18 +14,25 @@ namespace blusim::runtime {
 
 namespace {
 
-// Per-morsel LGHT result: the worker's private flat table plus its group
-// ids scattered into per-shard lists (by the top bits of each group's
-// hash) for the second merge phase.
+// Per-morsel LGHT result, handed to the shard merge. A morsel whose keys
+// repeat pre-aggregates into its private `table` and scatters the group
+// ids into per-shard lists (by the top bits of each group's hash). A
+// near-unique morsel builds no table: it keeps its `stride` and scatters
+// row indices instead, so each of its rows is aggregated once, in the
+// merge. Exactly one of `table` and `stride` is set.
 template <typename Key>
 struct MorselPartial {
-  MorselPartial(const GroupByPlan* plan, uint64_t expected_groups,
-                uint32_t shards)
-      : table(plan, expected_groups), shard_groups(shards) {}
-
-  FlatAggTable<Key> table;
-  std::vector<std::vector<uint32_t>> shard_groups;
+  std::unique_ptr<FlatAggTable<Key>> table;
+  std::unique_ptr<Stride> stride;
+  std::vector<std::vector<uint32_t>> shard_items;
 };
+
+// A morsel is near-unique when the HASH stage's KMV estimate of its
+// distinct keys is at least half its rows: local pre-aggregation would at
+// most halve what the merge has to insert, so the merge takes the rows.
+bool NearUnique(uint64_t kmv_estimate, uint64_t rows) {
+  return kmv_estimate * 2 >= rows;
+}
 
 template <typename Key, typename GetKey>
 Result<CpuFlatGroups> Run(const GroupByPlan& plan, ThreadPool* pool,
@@ -60,14 +67,45 @@ Result<CpuFlatGroups> Run(const GroupByPlan& plan, ThreadPool* pool,
 
   std::vector<std::unique_ptr<MorselPartial<Key>>> partials(num_morsels);
 
+  // AGGD/SUM/CNT: applies stride row i to its group in `table`.
+  auto aggregate_row = [&](const Stride& stride, uint64_t i,
+                           FlatAggTable<Key>* table) {
+    const uint32_t g = table->FindOrInsert(
+        get_key(stride, i), stride.hashes[i], stride.InputRow(i));
+    AccValue* accs = table->group_accs(g);
+    for (size_t s = 0; s < num_slots; ++s) {
+      AccumulateRow(plan.slots()[s], stride.payloads[s], i, &accs[s]);
+    }
+  };
+
   auto process_morsel = [&](uint64_t m) {
-    Stride stride;
-    stride.range = GetMorsel(total_rows, CpuGroupBy::kMorselRows, m);
-    stride.selection = selection;
-    Status st = chain.ProcessStride(&stride);
+    auto stride = std::make_unique<Stride>();
+    stride->range = GetMorsel(total_rows, CpuGroupBy::kMorselRows, m);
+    stride->selection = selection;
+    Status st = chain.ProcessStride(stride.get());
     if (!st.ok()) {
       common::MutexLock lock(&shared.mu);
       if (shared.first_error.ok()) shared.first_error = st;
+      return;
+    }
+
+    const uint64_t n = stride->num_rows();
+    const uint64_t estimate = stride->kmv.Estimate();
+    auto partial = std::make_unique<MorselPartial<Key>>();
+    partial->shard_items.resize(shards);
+    {
+      common::MutexLock lock(&shared.mu);
+      shared.global_kmv.Merge(stride->kmv);
+    }
+
+    if (shards > 1 && NearUnique(estimate, n)) {
+      // Near-unique: scatter row indices; the merge aggregates them.
+      for (uint64_t i = 0; i < n; ++i) {
+        partial->shard_items[HashPartition(stride->hashes[i], shards)]
+            .push_back(static_cast<uint32_t>(i));
+      }
+      partial->stride = std::move(stride);
+      partials[m] = std::move(partial);
       return;
     }
 
@@ -75,33 +113,19 @@ Result<CpuFlatGroups> Run(const GroupByPlan& plan, ThreadPool* pool,
     // sized from this stride's KMV estimate — the same signal the GPU path
     // sizes its device table with (section 4.2) — and grows-and-rehashes
     // if the estimate was low.
-    const uint64_t n = stride.num_rows();
-    const uint64_t expected = std::min<uint64_t>(
-        n, std::max<uint64_t>(stride.kmv.Estimate(), 16));
-    auto partial = std::make_unique<MorselPartial<Key>>(&plan, expected,
-                                                        shards);
-    FlatAggTable<Key>& local = partial->table;
-    for (uint64_t i = 0; i < n; ++i) {
-      const uint32_t g = local.FindOrInsert(get_key(stride, i),
-                                            stride.hashes[i],
-                                            stride.InputRow(i));
-      AccValue* accs = local.group_accs(g);
-      for (size_t s = 0; s < num_slots; ++s) {
-        AccumulateRow(plan.slots()[s], stride.payloads[s], i, &accs[s]);
-      }
-    }
+    partial->table = std::make_unique<FlatAggTable<Key>>(
+        &plan, std::min<uint64_t>(n, std::max<uint64_t>(estimate, 16)));
+    FlatAggTable<Key>& local = *partial->table;
+    for (uint64_t i = 0; i < n; ++i) aggregate_row(*stride, i, &local);
 
     // Scatter this morsel's groups into merge shards.
     if (shards > 1) {
       for (uint32_t g = 0; g < local.num_groups(); ++g) {
-        const uint32_t p = HashPartition(local.group_hash(g), shards);
-        partial->shard_groups[p].push_back(g);
+        partial->shard_items[HashPartition(local.group_hash(g), shards)]
+            .push_back(g);
       }
     }
     partials[m] = std::move(partial);
-
-    common::MutexLock lock(&shared.mu);
-    shared.global_kmv.Merge(stride.kmv);
   };
 
   if (pool != nullptr) {
@@ -121,8 +145,13 @@ Result<CpuFlatGroups> Run(const GroupByPlan& plan, ThreadPool* pool,
   if (stats != nullptr) {
     stats->merge_shards = shards;
     for (const auto& partial : partials) {
-      stats->partial_groups += partial->table.num_groups();
-      stats->local_rehashes += partial->table.rehash_count();
+      if (partial->table != nullptr) {
+        stats->partial_groups += partial->table->num_groups();
+        stats->local_rehashes += partial->table->rehash_count();
+      } else {
+        stats->partial_groups += partial->stride->num_rows();
+        stats->unaggregated_rows += partial->stride->num_rows();
+      }
     }
   }
 
@@ -132,7 +161,7 @@ Result<CpuFlatGroups> Run(const GroupByPlan& plan, ThreadPool* pool,
 
   // Single morsel: its local table already is the global result.
   if (num_morsels == 1) {
-    const FlatAggTable<Key>& only = partials[0]->table;
+    const FlatAggTable<Key>& only = *partials[0]->table;
     out.num_groups = only.num_groups();
     out.rep_rows = only.rep_rows();
     out.accs = only.accs();
@@ -140,15 +169,21 @@ Result<CpuFlatGroups> Run(const GroupByPlan& plan, ThreadPool* pool,
   }
 
   // Phase 2: merge each shard independently — no shared lock. Morsels are
-  // visited in index order, so merge order (and float summation order) is
-  // deterministic run-to-run, unlike the old completion-order global merge.
+  // visited in index order, and a near-unique morsel's rows in row order,
+  // so each group's representative is its first occurrence and merge
+  // order (and float summation order) is deterministic run-to-run. A
+  // group's raw rows and its pre-aggregated entries share a shard: both
+  // are scattered by the same top hash bits.
   std::vector<std::unique_ptr<FlatAggTable<Key>>> shard_tables(shards);
   auto merge_shard = [&](uint64_t p) {
+    auto contribution = [&](const MorselPartial<Key>& partial) -> uint64_t {
+      return shards > 1 ? partial.shard_items[p].size()
+                        : partial.table->num_groups();
+    };
     uint64_t shard_sum = 0;
     uint64_t largest = 0;
     for (const auto& partial : partials) {
-      const uint64_t c = shards > 1 ? partial->shard_groups[p].size()
-                                    : partial->table.num_groups();
+      const uint64_t c = contribution(*partial);
       shard_sum += c;
       largest = std::max(largest, c);
     }
@@ -160,18 +195,29 @@ Result<CpuFlatGroups> Run(const GroupByPlan& plan, ThreadPool* pool,
         &plan, std::min(shard_sum,
                         std::max<uint64_t>(kmv_estimate / shards, largest)));
     for (const auto& partial : partials) {
-      const FlatAggTable<Key>& src = partial->table;
+      if (partial->stride != nullptr) {
+        for (uint32_t i : partial->shard_items[p]) {
+          aggregate_row(*partial->stride, i, table.get());
+        }
+        continue;
+      }
+      const FlatAggTable<Key>& src = *partial->table;
+      // A new group copies the partial accumulators outright: they already
+      // started from the identity, so Init + Merge would give the same bits.
       auto merge_group = [&](uint32_t g) {
-        const uint32_t dst = table->FindOrInsert(
-            src.group_key(g), src.group_hash(g), src.group_rep_row(g));
         const AccValue* from = src.group_accs(g);
+        bool inserted = false;
+        const uint32_t dst =
+            table->FindOrInsert(src.group_key(g), src.group_hash(g),
+                                src.group_rep_row(g), from, &inserted);
+        if (inserted) return;
         AccValue* into = table->group_accs(dst);
         for (size_t s = 0; s < num_slots; ++s) {
           MergeAcc(plan.slots()[s], from[s], &into[s]);
         }
       };
       if (shards > 1) {
-        for (uint32_t g : partial->shard_groups[p]) merge_group(g);
+        for (uint32_t g : partial->shard_items[p]) merge_group(g);
       } else {
         for (uint32_t g = 0; g < src.num_groups(); ++g) merge_group(g);
       }

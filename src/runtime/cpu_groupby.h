@@ -28,8 +28,12 @@ struct GroupByOutput {
 struct CpuGroupByStats {
   // Merge shards used in phase 2 (1 = serial merge, no partitioning).
   uint32_t merge_shards = 0;
-  // Sum of per-morsel local group counts fed into the merge.
+  // Entries fed into the merge: per-morsel local groups, plus the rows of
+  // near-unique morsels that skipped local pre-aggregation.
   uint64_t partial_groups = 0;
+  // Rows that skipped local pre-aggregation (near-unique morsels) and were
+  // aggregated once, straight into their merge shard.
+  uint64_t unaggregated_rows = 0;
   // Grow-and-rehash events in the LGHT local tables (KMV undersized them).
   uint64_t local_rehashes = 0;
   // Grow-and-rehash events in the shard merge tables.
@@ -54,8 +58,10 @@ struct CpuFlatGroups {
 // open-addressing tables with AGGD/SUM/CNT applied inline), then the local
 // results are merged in two lock-free phases: each worker scatters its
 // groups into merge shards by the top bits of the key hash, and a second
-// ParallelFor merges each shard independently. Only KMV merging and
-// first-error tracking share a mutex.
+// ParallelFor merges each shard independently. A near-unique morsel (KMV
+// estimate at least half its rows) skips the local table and scatters its
+// rows instead, so each is aggregated once, in the merge. Only KMV merging
+// and first-error tracking share a mutex.
 class CpuGroupBy {
  public:
   // `selection`: optional filtered/joined row-id list; nullptr = all rows.

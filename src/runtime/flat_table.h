@@ -26,8 +26,10 @@ namespace blusim::runtime {
 // hash bits; full 64-bit hashes are compared before keys, so key equality
 // runs at most once per genuine duplicate. Inserting appends to the dense
 // arrays — no per-group heap allocation (the GroupEntry::slots vector this
-// replaces). Growing doubles the slot index and reinserts from the stored
-// per-group hashes; the dense arrays never move per-group data.
+// replaces), and no reallocation up to the expected group count they are
+// reserved for. New groups copy a precomputed identity accumulator row.
+// Growing doubles the slot index and reinserts from the stored per-group
+// hashes; the dense arrays never move per-group data.
 //
 // Key is the packed uint64 grouping key or WideKey. Not thread-safe: each
 // morsel worker / merge shard owns a private table.
@@ -37,21 +39,33 @@ class FlatAggTable {
   static constexpr uint32_t kNoGroup = ~0U;
 
   FlatAggTable(const GroupByPlan* plan, uint64_t expected_groups)
-      : plan_(plan), num_slots_(plan->slots().size()) {
+      : num_slots_(plan->slots().size()), identity_(num_slots_) {
     const uint64_t cap = HashTableCapacity(expected_groups);
     slot_hash_.assign(cap, 0);
     slot_group_.assign(cap, kNoGroup);
     mask_ = cap - 1;
+    for (size_t s = 0; s < num_slots_; ++s) {
+      InitAcc(plan->slots()[s], &identity_[s]);
+    }
+    keys_.reserve(expected_groups);
+    rep_rows_.reserve(expected_groups);
+    hashes_.reserve(expected_groups);
+    accs_.reserve(expected_groups * num_slots_);
   }
 
-  // Finds the group for (key, hash), inserting a freshly initialized group
-  // (identity accumulators, `rep_row` as representative) when absent.
-  // Returns the dense group index.
-  uint32_t FindOrInsert(const Key& key, uint64_t hash, uint32_t rep_row) {
+  // Finds the group for (key, hash), inserting it when absent with
+  // `rep_row` as representative and its accumulators copied from `init`
+  // (num_slots values), or set to the identity row when `init` is null.
+  // Returns the dense group index; `*inserted` (optional) tells whether
+  // the group is new.
+  uint32_t FindOrInsert(const Key& key, uint64_t hash, uint32_t rep_row,
+                        const AccValue* init = nullptr,
+                        bool* inserted = nullptr) {
     if ((keys_.size() + 1) * 4 > slot_group_.size() * 3) Grow();
     uint64_t i = hash & mask_;
     while (slot_group_[i] != kNoGroup) {
       if (slot_hash_[i] == hash && keys_[slot_group_[i]] == key) {
+        if (inserted != nullptr) *inserted = false;
         return slot_group_[i];
       }
       i = (i + 1) & mask_;
@@ -62,11 +76,9 @@ class FlatAggTable {
     keys_.push_back(key);
     rep_rows_.push_back(rep_row);
     hashes_.push_back(hash);
-    accs_.resize(accs_.size() + num_slots_);
-    AccValue* accs = &accs_[static_cast<size_t>(g) * num_slots_];
-    for (size_t s = 0; s < num_slots_; ++s) {
-      InitAcc(plan_->slots()[s], &accs[s]);
-    }
+    if (init == nullptr) init = identity_.data();
+    accs_.insert(accs_.end(), init, init + num_slots_);
+    if (inserted != nullptr) *inserted = true;
     return g;
   }
 
@@ -104,8 +116,9 @@ class FlatAggTable {
     ++rehashes_;
   }
 
-  const GroupByPlan* plan_;
   size_t num_slots_;
+  // Each slot's identity (mask) value, copied into every new group.
+  std::vector<AccValue> identity_;
   uint64_t mask_ = 0;
   std::vector<uint64_t> slot_hash_;
   std::vector<uint32_t> slot_group_;

@@ -103,6 +103,96 @@ TEST_F(EngineFeaturesTest, GroupByResultOrderedByAggregate) {
   }
 }
 
+// `limited` must be the first rows of `full`, column by column.
+void ExpectHeadOf(const Table& full, const Table& limited) {
+  ASSERT_EQ(full.num_columns(), limited.num_columns());
+  ASSERT_LE(limited.num_rows(), full.num_rows());
+  for (size_t c = 0; c < full.num_columns(); ++c) {
+    const columnar::Column& a = full.column(c);
+    const columnar::Column& b = limited.column(c);
+    for (size_t r = 0; r < limited.num_rows(); ++r) {
+      switch (full.schema().field(c).type) {
+        case DataType::kInt32:
+          EXPECT_EQ(a.int32_data()[r], b.int32_data()[r]) << c << "," << r;
+          break;
+        case DataType::kInt64:
+          EXPECT_EQ(a.int64_data()[r], b.int64_data()[r]) << c << "," << r;
+          break;
+        case DataType::kFloat64:
+          EXPECT_EQ(a.float64_data()[r], b.float64_data()[r])
+              << c << "," << r;
+          break;
+        default:
+          FAIL() << "unexpected column type";
+      }
+    }
+  }
+}
+
+// The LIMIT is applied to the sort permutation before materialization; the
+// simulated clock must still charge the sort of every row.
+void ExpectLimitKeepsProfile(const QueryResult& full,
+                             const QueryResult& limited) {
+  EXPECT_EQ(full.profile.total_elapsed, limited.profile.total_elapsed);
+  ASSERT_EQ(full.profile.phases.size(), limited.profile.phases.size());
+  for (size_t i = 0; i < full.profile.phases.size(); ++i) {
+    const PhaseRecord& a = full.profile.phases[i];
+    const PhaseRecord& b = limited.profile.phases[i];
+    EXPECT_EQ(a.label, b.label);
+    EXPECT_EQ(a.cpu_work, b.cpu_work) << a.label;
+    EXPECT_EQ(a.elapsed, b.elapsed) << a.label;
+    EXPECT_EQ(a.device_time, b.device_time) << a.label;
+  }
+}
+
+TEST_F(EngineFeaturesTest, LimitBelowGroupBySortKeepsHeadAndProfile) {
+  QuerySpec q;
+  q.fact_table = "sales";
+  runtime::GroupBySpec g;
+  g.key_columns = {0, 2};  // 80 groups
+  g.aggregates = {{runtime::AggFn::kSum, 1, "revenue"},
+                  {runtime::AggFn::kCount, -1, "n"}};
+  q.groupby = g;
+  q.order_by = {{2, false}, {0, true}, {1, true}};
+  auto full = engine_->Execute(q);
+  ASSERT_TRUE(full.ok());
+  ASSERT_EQ(full->table->num_rows(), 80u);
+  q.limit = 7;
+  auto limited = engine_->Execute(q);
+  ASSERT_TRUE(limited.ok());
+  ASSERT_EQ(limited->table->num_rows(), 7u);
+  EXPECT_EQ(limited->profile.result_rows, 7u);
+  ExpectHeadOf(*full->table, *limited->table);
+  ExpectLimitKeepsProfile(*full, *limited);
+  bool saw_sort = false;
+  for (const PhaseRecord& p : limited->profile.phases) {
+    saw_sort = saw_sort || p.label == "sort-result";
+  }
+  EXPECT_TRUE(saw_sort);
+}
+
+TEST_F(EngineFeaturesTest, LimitBelowFactSortKeepsHeadAndProfile) {
+  QuerySpec q;
+  q.fact_table = "sales";
+  q.projection = {1, 0, 2};
+  q.order_by = {{0, false}, {1, true}};  // amount desc, region asc
+  auto full = engine_->Execute(q);
+  ASSERT_TRUE(full.ok());
+  ASSERT_EQ(full->table->num_rows(), 10000u);
+  q.limit = 9;
+  auto limited = engine_->Execute(q);
+  ASSERT_TRUE(limited.ok());
+  ASSERT_EQ(limited->table->num_rows(), 9u);
+  EXPECT_EQ(limited->profile.result_rows, 9u);
+  ExpectHeadOf(*full->table, *limited->table);
+  ExpectLimitKeepsProfile(*full, *limited);
+  bool saw_keygen = false;
+  for (const PhaseRecord& p : limited->profile.phases) {
+    saw_keygen = saw_keygen || p.label == "sort-keygen";
+  }
+  EXPECT_TRUE(saw_keygen);
+}
+
 TEST_F(EngineFeaturesTest, ProfilePhasesAndElapsedConsistent) {
   QuerySpec q;
   q.fact_table = "sales";

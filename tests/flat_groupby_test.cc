@@ -1,15 +1,18 @@
 // Tests for the flat open-addressing CPU aggregation path: FlatAggTable
 // mechanics (probe collisions, grow-and-rehash), FlatMap64 (join build
 // side), and CpuGroupBy's partitioned merge under adversarial keys whose
-// hashes collide across merge shards and across flat-table probes. All
-// group-by results are differential-checked against the previous
-// implementation's algorithm (std::unordered_map + serial merge).
+// hashes collide across merge shards and across flat-table probes, and
+// the near-unique path on inputs that mix near-unique and repeating
+// morsels. All group-by results are differential-checked against in-test
+// references (std::unordered_map / std::map, serial).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <map>
 #include <unordered_map>
+#include <vector>
 
 #include "columnar/table.h"
 #include "common/bit_util.h"
@@ -259,6 +262,9 @@ TEST(CpuGroupByAdversarialTest, HighCardinalityForcesGrowth) {
   CpuGroupByStats stats;
   RunDifferential(t, &pool, &stats);
   EXPECT_EQ(stats.partial_groups, kRows);  // every morsel fully distinct
+  // Every morsel is near-unique, so no row was pre-aggregated locally.
+  EXPECT_EQ(stats.unaggregated_rows, kRows);
+  EXPECT_EQ(stats.local_rehashes, 0u);
   EXPECT_GT(stats.merge_shards, 1u);
 }
 
@@ -277,10 +283,173 @@ TEST(CpuGroupByAdversarialTest, SerialAndParallelAgree) {
   CpuGroupByStats serial_stats;
   RunDifferential(t, nullptr, &serial_stats);
   EXPECT_EQ(serial_stats.merge_shards, 1u);
+  EXPECT_EQ(serial_stats.unaggregated_rows, 0u);
   ThreadPool pool(4);
   CpuGroupByStats parallel_stats;
   RunDifferential(t, &pool, &parallel_stats);
   EXPECT_GT(parallel_stats.merge_shards, 1u);
+  // 5000 keys repeat within every morsel: all of them pre-aggregate.
+  EXPECT_EQ(parallel_stats.unaggregated_rows, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Mixed morsels: even morsels are near-unique (their rows skip the local
+// table and are aggregated once, in the merge), odd ones repeat a few keys
+// and pre-aggregate. Groups span both kinds, so the merge sees a group's raw
+// rows and its pre-aggregated entries in the same shard.
+
+constexpr uint64_t kMixedRows = 4 * CpuGroupBy::kMorselRows + 1000;
+constexpr uint64_t kHotKeys = 300;
+
+// Key id of row r: even morsels draw one row in eight from the hot keys and
+// give the rest the morsel-relative row (so a "unique" key recurs once per
+// even morsel); odd morsels draw hot keys or random "unique" ones.
+std::vector<uint64_t> MixedKeyIds() {
+  std::vector<uint64_t> ids(kMixedRows);
+  Rng rng(2024);
+  for (uint64_t r = 0; r < kMixedRows; ++r) {
+    const uint64_t m = r / CpuGroupBy::kMorselRows;
+    const uint64_t local = r % CpuGroupBy::kMorselRows;
+    if (m % 2 == 0) {
+      ids[r] = r % 8 == 0 ? (r / 8) % kHotKeys : kHotKeys + local;
+    } else {
+      ids[r] = rng.Below(2) == 0
+                   ? rng.Below(kHotKeys)
+                   : kHotKeys + rng.Below(CpuGroupBy::kMorselRows);
+    }
+  }
+  return ids;
+}
+
+// Key columns (one int64 packed key, or three columns forming a wide key)
+// followed by a nullable int64 `v` and a nullable decimal `d`.
+Table MakeMixedTable(const std::vector<uint64_t>& ids, bool wide) {
+  Schema schema;
+  schema.AddField({"k0", DataType::kInt64, false});
+  if (wide) {
+    schema.AddField({"k1", DataType::kInt64, false});
+    schema.AddField({"k2", DataType::kInt32, false});
+  }
+  schema.AddField({"v", DataType::kInt64, true});
+  schema.AddField({"d", DataType::kDecimal128, true});
+  Table t(schema);
+  const size_t v_col = wide ? 3 : 1;
+  for (uint64_t r = 0; r < ids.size(); ++r) {
+    const auto id = static_cast<int64_t>(ids[r]);
+    t.column(0).AppendInt64(id * 1000003 - 77);
+    if (wide) {
+      t.column(1).AppendInt64(-id * 31);
+      t.column(2).AppendInt32(static_cast<int32_t>(id % 1000));
+    }
+    if (r % 11 == 0) {
+      t.column(v_col).AppendNull();
+    } else {
+      t.column(v_col).AppendInt64(static_cast<int64_t>(r * 37 % 2001) - 1000);
+    }
+    if (r % 13 == 0) {
+      t.column(v_col + 1).AppendNull();
+    } else {
+      t.column(v_col + 1).AppendDecimal(columnar::Decimal128(
+          (static_cast<int64_t>(r % 100003) - 50000) * 1000000007LL));
+    }
+  }
+  return t;
+}
+
+struct MixedRefGroup {
+  uint32_t first_row = 0;
+  std::vector<AccValue> accs;
+};
+
+void CheckMixedMorsels(bool wide) {
+  const std::vector<uint64_t> ids = MixedKeyIds();
+  const Table t = MakeMixedTable(ids, wide);
+  const int v = wide ? 3 : 1;
+  const int d = v + 1;
+  GroupBySpec spec;
+  spec.key_columns = wide ? std::vector<int>{0, 1, 2} : std::vector<int>{0};
+  spec.aggregates = {{AggFn::kSum, v, "sv"},   {AggFn::kMin, v, "mnv"},
+                     {AggFn::kMax, v, "mxv"},  {AggFn::kSum, d, "sd"},
+                     {AggFn::kMin, d, "mnd"},  {AggFn::kMax, d, "mxd"},
+                     {AggFn::kCount, -1, "n"}, {AggFn::kCount, v, "nv"}};
+  auto plan = GroupByPlan::Make(t, spec);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  ASSERT_EQ(plan->wide_key(), wide);
+  const auto& slots = plan->slots();
+  ASSERT_EQ(slots.size(), spec.aggregates.size());
+
+  // Reference: std::map by key id, first occurrence as representative,
+  // aggregates applied row by row from each slot's identity.
+  std::map<uint64_t, MixedRefGroup> ref;
+  const auto& vi = t.column(static_cast<size_t>(v));
+  const auto& dc = t.column(static_cast<size_t>(d));
+  for (uint64_t r = 0; r < ids.size(); ++r) {
+    auto [it, fresh] = ref.try_emplace(ids[r]);
+    MixedRefGroup& g = it->second;
+    if (fresh) {
+      g.first_row = static_cast<uint32_t>(r);
+      g.accs.resize(slots.size());
+      for (size_t s = 0; s < slots.size(); ++s) InitAcc(slots[s], &g.accs[s]);
+    }
+    if (!vi.IsNull(r)) {
+      const int64_t x = vi.int64_data()[r];
+      g.accs[0].i64 += x;
+      g.accs[1].i64 = std::min(g.accs[1].i64, x);
+      g.accs[2].i64 = std::max(g.accs[2].i64, x);
+      ++g.accs[7].i64;
+    }
+    if (!dc.IsNull(r)) {
+      const columnar::Decimal128& x = dc.decimal_data()[r];
+      g.accs[3].dec += x;
+      g.accs[4].dec = std::min(g.accs[4].dec, x);
+      g.accs[5].dec = std::max(g.accs[5].dec, x);
+    }
+    ++g.accs[6].i64;
+  }
+
+  auto check = [&](ThreadPool* pool, CpuGroupByStats* stats) {
+    auto out = CpuGroupBy::ExecuteToFlat(plan.value(), pool, nullptr, stats);
+    ASSERT_TRUE(out.ok()) << out.status().ToString();
+    ASSERT_EQ(out->num_groups, ref.size());
+    ASSERT_EQ(out->rep_rows.size(), ref.size());
+    std::vector<bool> seen(kHotKeys + CpuGroupBy::kMorselRows, false);
+    for (uint64_t g = 0; g < out->num_groups; ++g) {
+      const uint32_t rep = out->rep_rows[g];
+      ASSERT_LT(rep, ids.size());
+      const auto it = ref.find(ids[rep]);
+      ASSERT_NE(it, ref.end());
+      EXPECT_FALSE(seen[ids[rep]]) << "group emitted twice: " << ids[rep];
+      seen[ids[rep]] = true;
+      EXPECT_EQ(rep, it->second.first_row) << "key " << ids[rep];
+      const AccValue* got = &out->accs[g * slots.size()];
+      for (size_t s = 0; s < slots.size(); ++s) {
+        const AccValue& want = it->second.accs[s];
+        if (slots[s].acc_type == DataType::kDecimal128) {
+          EXPECT_EQ(got[s].dec, want.dec) << ids[rep] << " slot " << s;
+        } else {
+          EXPECT_EQ(got[s].i64, want.i64) << ids[rep] << " slot " << s;
+        }
+      }
+    }
+  };
+
+  ThreadPool pool(4);
+  CpuGroupByStats stats;
+  check(&pool, &stats);
+  EXPECT_GT(stats.merge_shards, 1u);
+  // Morsels 0, 2 and the 1000-row tail are near-unique; 1 and 3 are not.
+  EXPECT_EQ(stats.unaggregated_rows, 2 * CpuGroupBy::kMorselRows + 1000);
+  CpuGroupByStats serial_stats;
+  check(nullptr, &serial_stats);
+  EXPECT_EQ(serial_stats.unaggregated_rows, 0u);
+}
+
+TEST(CpuGroupByMixedMorselTest, PackedKeyMatchesReference) {
+  CheckMixedMorsels(/*wide=*/false);
+}
+
+TEST(CpuGroupByMixedMorselTest, WideKeyMatchesReference) {
+  CheckMixedMorsels(/*wide=*/true);
 }
 
 }  // namespace
