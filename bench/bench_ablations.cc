@@ -6,15 +6,15 @@
 //   4. hybrid sort vs CPU-only sort across input sizes
 
 #include <cstdio>
+#include <string>
 
 #include "bench_common.h"
-#include "common/rng.h"
+#include "columnar/table.h"
 #include "gpusim/cost_model.h"
-#include "groupby/gpu_groupby.h"
-#include "groupby/kernels.h"
+#include "groupby/layout.h"
+#include "groupby/moderator.h"
 #include "harness/report.h"
-#include "runtime/cpu_groupby.h"
-#include "sort/hybrid_sort.h"
+#include "runtime/groupby_plan.h"
 
 using namespace blusim;
 
@@ -77,43 +77,55 @@ void AblationKernelChoice(const gpusim::CostModel& cost) {
                           "K3 rowlock (ms)", "Moderator picks"});
   struct Shape {
     const char* name;
-    gpusim::GroupByKernelParams p;
+    uint64_t rows, groups;
+    int aggs;
   };
-  std::vector<Shape> shapes;
-  {
+  const groupby::GpuModerator moderator;
+  gpusim::DeviceSpec dev;
+  // The 48 KB shared-memory split kernel 2 configures (section 4.3.2).
+  const uint64_t shared_mem = dev.shared_mem_per_smx_bytes * 3 / 4;
+  for (const Shape& s :
+       {Shape{"regular (50k groups, 3 aggs)", 4000000, 50000, 3},
+        Shape{"few groups (12 groups)", 4000000, 12, 3},
+        Shape{"many aggregates (8 aggs)", 4000000, 50000, 8},
+        Shape{"low contention (rows/groups=2)", 4000000, 2000000, 3}}) {
     gpusim::GroupByKernelParams p;
-    p.rows = 4000000; p.groups = 50000; p.num_aggregates = 3;
-    shapes.push_back({"regular (50k groups, 3 aggs)", p});
-  }
-  {
-    gpusim::GroupByKernelParams p;
-    p.rows = 4000000; p.groups = 12; p.num_aggregates = 3;
-    shapes.push_back({"few groups (12 groups)", p});
-  }
-  {
-    gpusim::GroupByKernelParams p;
-    p.rows = 4000000; p.groups = 50000; p.num_aggregates = 8;
-    shapes.push_back({"many aggregates (8 aggs)", p});
-  }
-  {
-    gpusim::GroupByKernelParams p;
-    p.rows = 4000000; p.groups = 2000000; p.num_aggregates = 3;
-    shapes.push_back({"low contention (rows/groups=2)", p});
-  }
-  for (const Shape& s : shapes) {
+    p.rows = s.rows;
+    p.groups = s.groups;
+    p.num_aggregates = s.aggs;
     const SimTime k1 =
-        cost.GroupByKernelTime(gpusim::GroupByKernelKind::kRegular, s.p);
+        cost.GroupByKernelTime(gpusim::GroupByKernelKind::kRegular, p);
     const SimTime k2 =
-        cost.GroupByKernelTime(gpusim::GroupByKernelKind::kSharedMem, s.p);
+        cost.GroupByKernelTime(gpusim::GroupByKernelKind::kSharedMem, p);
     const SimTime k3 =
-        cost.GroupByKernelTime(gpusim::GroupByKernelKind::kRowLock, s.p);
-    // The moderator's static rules (section 4.3).
-    const char* pick = "K1";
-    if (s.p.groups <= 256) pick = "K2";
-    else if (s.p.num_aggregates > 5 ||
-             s.p.rows / s.p.groups < 4) pick = "K3";
+        cost.GroupByKernelTime(gpusim::GroupByKernelKind::kRowLock, p);
+
+    // The hash-table layout of an int64 key with `aggs` int64 SUMs sizes
+    // the shared-memory table the moderator's kernel-2 rule checks.
+    columnar::Schema schema;
+    schema.AddField({"k", columnar::DataType::kInt64, false});
+    runtime::GroupBySpec spec;
+    spec.key_columns = {0};
+    for (int a = 0; a < s.aggs; ++a) {
+      const std::string name = "v" + std::to_string(a);
+      schema.AddField({name, columnar::DataType::kInt64, false});
+      spec.aggregates.push_back({runtime::AggFn::kSum, a + 1, name});
+    }
+    const columnar::Table table(schema);
+    auto plan = runtime::GroupByPlan::Make(table, spec);
+    if (!plan.ok()) continue;
+    groupby::QueryMetadata m;
+    m.rows = s.rows;
+    m.estimated_groups = s.groups;
+    m.num_aggregates = s.aggs;
+    const gpusim::GroupByKernelKind pick = moderator.ChooseKernel(
+        m, groupby::HashTableLayout(plan.value()), shared_mem);
+    const char* pick_name =
+        pick == gpusim::GroupByKernelKind::kRegular     ? "K1"
+        : pick == gpusim::GroupByKernelKind::kSharedMem ? "K2"
+                                                        : "K3";
     t.AddRow({s.name, harness::FormatMs(k1), harness::FormatMs(k2),
-              harness::FormatMs(k3), pick});
+              harness::FormatMs(k3), pick_name});
   }
   t.Print();
   std::printf("The moderator's pick should track the fastest column per\n"
@@ -145,98 +157,6 @@ void AblationHybridSort() {
               "(section 3).\n");
 }
 
-void AblationGpuJoin(const gpusim::CostModel& cost) {
-  harness::PrintExperimentHeader(
-      "Ablation 5", "Future work: device hash join vs CPU join (modeled)");
-  harness::ReportTable t({"Probe rows", "Build rows", "CPU @dop24 (ms)",
-                          "GPU total (ms)", "GPU transfer share"});
-  for (auto [probe, build] :
-       std::initializer_list<std::pair<uint64_t, uint64_t>>{
-           {100000, 2000}, {1000000, 20000}, {10000000, 200000},
-           {50000000, 1000000}}) {
-    const SimTime cpu = cost.HostJoinTime(build, probe, 24);
-    const SimTime transfer =
-        cost.TransferTime(build * 12 + probe * 12, true) +
-        cost.TransferTime(probe * 8, true);  // in + result out (worst case)
-    const SimTime kernels = cost.JoinBuildKernelTime(build) +
-                            cost.JoinProbeKernelTime(probe);
-    const SimTime gpu = transfer + kernels;
-    t.AddRow({std::to_string(probe), std::to_string(build),
-              harness::FormatMs(cpu), harness::FormatMs(gpu),
-              harness::FormatPct(static_cast<double>(transfer) /
-                                 static_cast<double>(gpu))});
-  }
-  t.Print();
-  std::printf(
-      "The prototype join (src/join) is correct but transfer-dominated:\n"
-      "unlike group-by, a join's result can be as large as its input, so\n"
-      "PCIe is paid both ways -- consistent with the paper deferring join\n"
-      "offload to future work (section 6).\n");
-}
-
-void AblationKernelRacing() {
-  harness::PrintExperimentHeader(
-      "Ablation 6",
-      "Concurrent kernel racing (section 4.2) vs single-kernel runs");
-  gpusim::HostSpec host;
-  gpusim::DeviceSpec spec;
-  gpusim::SimDevice device(0, spec, host, 2);
-  gpusim::PinnedHostPool pinned(256ULL << 20);
-  runtime::ThreadPool pool(2);
-
-  harness::ReportTable t({"Query shape", "Moderator pick (ms)",
-                          "Raced winner (ms)", "Racing helped"});
-  struct Shape {
-    const char* name;
-    uint64_t rows, groups;
-    int aggs;
-  };
-  for (const Shape& shape : {Shape{"regular 5k groups", 200000, 5000, 3},
-                             Shape{"borderline rows/groups=5", 200000,
-                                   40000, 3},
-                             Shape{"many groups", 200000, 150000, 2}}) {
-    columnar::Schema schema;
-    schema.AddField({"k", columnar::DataType::kInt64, false});
-    schema.AddField({"v", columnar::DataType::kInt64, false});
-    auto table = std::make_shared<columnar::Table>(schema);
-    Rng rng(shape.rows);
-    for (uint64_t i = 0; i < shape.rows; ++i) {
-      table->column(0).AppendInt64(
-          static_cast<int64_t>(rng.Below(shape.groups)));
-      table->column(1).AppendInt64(rng.Range(0, 9));
-    }
-    runtime::GroupBySpec spec2;
-    spec2.key_columns = {0};
-    for (int a = 0; a < shape.aggs; ++a) {
-      spec2.aggregates.push_back(
-          {runtime::AggFn::kSum, 1, "a" + std::to_string(a)});
-    }
-    auto plan = runtime::GroupByPlan::Make(*table, spec2);
-    if (!plan.ok()) continue;
-
-    groupby::GpuModerator single_mod, racing_mod;
-    groupby::GpuGroupByStats single_stats, raced_stats;
-    groupby::GpuGroupByOptions racing;
-    racing.enable_racing = true;
-    auto s1 = groupby::GpuGroupBy::Execute(plan.value(), &device, &pinned,
-                                           &pool, &single_mod, nullptr, {},
-                                           &single_stats);
-    auto s2 = groupby::GpuGroupBy::Execute(plan.value(), &device, &pinned,
-                                           &pool, &racing_mod, nullptr,
-                                           racing, &raced_stats);
-    if (!s1.ok() || !s2.ok()) continue;
-    t.AddRow({shape.name, harness::FormatMs(single_stats.kernel_time),
-              harness::FormatMs(raced_stats.kernel_time),
-              raced_stats.kernel_time < single_stats.kernel_time ? "yes"
-                                                                 : "no"});
-  }
-  t.Print();
-  std::printf(
-      "Racing runs the top-2 candidate kernels concurrently when device\n"
-      "memory allows and keeps the first finisher; it can only match or\n"
-      "beat the static pick, at the cost of a second hash table.\n");
-}
-
 }  // namespace
 
 int main() {
@@ -247,7 +167,5 @@ int main() {
   AblationTableSizing(cost);
   AblationKernelChoice(cost);
   AblationHybridSort();
-  AblationGpuJoin(cost);
-  AblationKernelRacing();
   return 0;
 }

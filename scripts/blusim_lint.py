@@ -7,7 +7,7 @@ actually built):
 
   A. include-layering DAG -- a subsystem may only include subsystems in
      strictly lower bands (common < columnar/obs < runtime < gpusim <
-     sched < groupby/sort/join < core < serve/workload < harness). An
+     sched < groupby/sort < core < serve/workload < harness). An
      upward or same-band cross-directory include is a layering break.
   B. metric-name conventions -- every metric family literal is
      `blusim_[a-z0-9_]+`, counter families end `_total` (gauges and
@@ -55,7 +55,6 @@ LAYER_BANDS = {
     "sched": 4,
     "groupby": 5,
     "sort": 5,
-    "join": 5,
     "core": 6,
     "serve": 7,
     "workload": 7,

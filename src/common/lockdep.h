@@ -46,7 +46,7 @@ namespace blusim::common {
 // Per-subsystem rank bands in *acquisition* order: a thread's held locks
 // must be non-increasing in rank, i.e. outer layers lock first. The bands
 // mirror the include-layering DAG that scripts/blusim_lint.py enforces
-// (common < obs < runtime < gpusim < sched < groupby/sort/join < core <
+// (common < obs < runtime < gpusim < sched < groupby/sort < core <
 // harness/serve, bottom-up), with the outermost layer getting the highest
 // rank because it locks first on the way down.
 enum class LockRank : uint8_t {
@@ -56,7 +56,7 @@ enum class LockRank : uint8_t {
   kRuntime = 3,   // runtime/ thread pool, CPU operators
   kGpusim = 4,    // gpusim/ device memory, pinned pool, checker, monitor
   kSched = 5,     // sched/ GPU scheduler wait line
-  kExec = 6,      // groupby/ sort/ join/ operator run state
+  kExec = 6,      // groupby/ sort/ operator run state
   kCore = 7,      // core/ engine registries
   kServe = 8,     // serve/ + harness/ admission and stream state (outermost)
 };

@@ -153,7 +153,6 @@ Engine::Engine(EngineConfig config)
     device->memory().AttachChecker(checker_.get());
   }
   pinned_.AttachChecker(checker_.get());
-  moderator_.AttachMetrics(&metrics_);
 }
 
 Engine::~Engine() {
@@ -625,8 +624,7 @@ Result<Engine::GroupByOutcome> Engine::RunGroupBy(
                         gpu.device_id);
         trace->AddPhase(std::string("kernel:") + kernel_name,
                         obs::kCatKernel, stats.kernel_time, gpu.device_id,
-                        {{"retries", std::to_string(stats.retries)},
-                         {"raced", stats.raced ? "true" : "false"}});
+                        {{"retries", std::to_string(stats.retries)}});
         trace->AddPhase("transfer-out", obs::kCatTransfer,
                         stats.transfer_out, gpu.device_id,
                         {{"bytes", std::to_string(stats.bytes_out)}});

@@ -197,24 +197,6 @@ SimTime CostModel::FusedScanAggregateTime(GroupByKernelKind kind,
   return static_cast<SimTime>(us + kKernelLaunchOverheadUs + 0.5);
 }
 
-SimTime CostModel::JoinBuildKernelTime(uint64_t build_rows) const {
-  // Hash + CAS claim per build row.
-  const double effective_cores =
-      static_cast<double>(device_.total_cores()) * kDeviceUtilization;
-  const double us =
-      static_cast<double>(build_rows) * 14.0 / effective_cores / 1000.0;
-  return static_cast<SimTime>(us + kKernelLaunchOverheadUs + 0.5);
-}
-
-SimTime CostModel::JoinProbeKernelTime(uint64_t probe_rows) const {
-  // Hash + probe chain + atomic output-cursor append per probe row.
-  const double effective_cores =
-      static_cast<double>(device_.total_cores()) * kDeviceUtilization;
-  const double us =
-      static_cast<double>(probe_rows) * 10.0 / effective_cores / 1000.0;
-  return static_cast<SimTime>(us + kKernelLaunchOverheadUs + 0.5);
-}
-
 SimTime CostModel::SortKernelTime(uint64_t n) const {
   const double effective_cores =
       static_cast<double>(device_.total_cores()) * kDeviceUtilization;

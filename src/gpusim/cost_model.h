@@ -103,10 +103,6 @@ class CostModel {
   // Radix sort of n (key4, payload4) entries on the device (section 3).
   SimTime SortKernelTime(uint64_t n) const;
 
-  // Device hash-join kernels (prototype of the paper's future work).
-  SimTime JoinBuildKernelTime(uint64_t build_rows) const;
-  SimTime JoinProbeKernelTime(uint64_t probe_rows) const;
-
   // --- Host (CPU) operators ---
   // `dop` = degree of parallelism (DB2 sub-agent threads on the morsel).
   SimTime HostScanTime(uint64_t rows, int bytes_per_row, int dop) const;

@@ -25,6 +25,10 @@ using runtime::WideKey;
 
 namespace {
 
+// Table-growth retries when the KMV estimate was too low; each retry
+// quadruples the capacity.
+constexpr int kMaxRetries = 3;
+
 // Moves staged SoA pinned buffers onto the device, charging transfer time
 // and bytes for the TRUE array sizes. Pinned-pool allocations are 64-byte
 // aligned, so PinnedBuffer::size() over-reports the wire size; the device
@@ -301,7 +305,7 @@ Result<GpuGroupBy::RawOutput> GpuGroupBy::ExecuteToGroups(
   const HashTableLayout layout(plan);
   uint64_t capacity = ChooseCapacity(staged.kmv_estimate);
 
-  for (int attempt = 0; attempt <= options.max_retries; ++attempt) {
+  for (int attempt = 0; attempt <= kMaxRetries; ++attempt) {
     // --- Reserve all device memory up front (section 2.1.1) ---
     const uint64_t input_bytes =
         staged.fused ? staged.transfer_bytes : UnfusedStagedBytes(plan, rows);
@@ -364,20 +368,8 @@ Result<GpuGroupBy::RawOutput> GpuGroupBy::ExecuteToGroups(
     kp.wide_key = plan.wide_key();
     kp.lock_typed_payload = metadata.lock_typed_payload;
 
-    // Fused runs cost through the fused kernel model and report under the
-    // fused kernel names.
-    auto model_kernel_time = [&](GroupByKernelKind k) {
-      return staged.fused ? cost.FusedScanAggregateTime(k, kp)
-                          : cost.GroupByKernelTime(k, kp);
-    };
-
-    std::vector<GroupByKernelKind> candidates = moderator->CandidateKernels(
+    const GroupByKernelKind chosen = moderator->ChooseKernel(
         metadata, layout, device->usable_shared_mem());
-    GroupByKernelKind chosen = options.enable_racing
-                                   ? candidates.front()
-                                   : moderator->ChooseKernel(
-                                         metadata, layout,
-                                         device->usable_shared_mem());
 
     std::atomic<uint64_t> overflow{0};
     GroupByKernelArgs args;
@@ -392,71 +384,20 @@ Result<GpuGroupBy::RawOutput> GpuGroupBy::ExecuteToGroups(
     args.capacity = capacity;
     args.overflow = &overflow;
 
-    if (options.enable_racing && candidates.size() >= 2) {
-      // Concurrent-kernel racing (section 4.2): if the device can hold a
-      // second hash table, launch the two best candidates and keep the
-      // first finisher, stopping the other. In the simulation both run to
-      // completion (results are identical); the *winner by modeled time*
-      // determines the accounted kernel time, and the loser is recorded as
-      // cancelled at the winner's finish time.
-      const GroupByKernelKind rival = candidates[1];
-      auto rival_reservation =
-          device->memory().Reserve(layout.TableBytes(capacity));
-      if (rival_reservation.ok()) {
-        BLUSIM_ASSIGN_OR_RETURN(
-            DeviceBuffer rival_table,
-            device->memory().Alloc(rival_reservation.value(),
-                                   layout.TableBytes(capacity)));
-        BLUSIM_RETURN_NOT_OK(InitHashTable(device, layout, plan,
-                                           rival_table.data(), capacity));
-        std::atomic<uint64_t> rival_overflow{0};
-        GroupByKernelArgs rival_args = args;
-        rival_args.table = rival_table.data();
-        rival_args.overflow = &rival_overflow;
-
-        const SimTime t_chosen = model_kernel_time(chosen);
-        const SimTime t_rival = model_kernel_time(rival);
-        BLUSIM_RETURN_NOT_OK(RunKernel(device, chosen, args));
-        BLUSIM_RETURN_NOT_OK(RunKernel(device, rival, rival_args));
-        stats->raced = true;
-        if (t_rival < t_chosen) {
-          // Rival won: adopt its table and overflow state.
-          std::memcpy(table.data(), rival_table.data(),
-                      layout.TableBytes(capacity));
-          overflow.store(rival_overflow.load());
-          stats->loser_time = t_rival;  // loser cancelled at winner's time
-          moderator->RecordFeedback(metadata, rival, t_rival);
-          chosen = rival;
-          stats->kernel_time += t_rival;
-        } else {
-          stats->loser_time = t_chosen;
-          moderator->RecordFeedback(metadata, chosen, t_chosen);
-          stats->kernel_time += t_chosen;
-        }
-        device->AccountKernel(KernelName(chosen, staged.fused),
-                              stats->kernel_time);
-      } else {
-        // Not enough memory for a second table: plain single-kernel run.
-        const SimTime t = model_kernel_time(chosen);
-        BLUSIM_RETURN_NOT_OK(RunKernel(device, chosen, args));
-        stats->kernel_time += t;
-        device->AccountKernel(KernelName(chosen, staged.fused), t);
-        moderator->RecordFeedback(metadata, chosen, t);
-      }
-    } else {
-      const SimTime t = model_kernel_time(chosen);
-      BLUSIM_RETURN_NOT_OK(RunKernel(device, chosen, args));
-      stats->kernel_time += t;
-      device->AccountKernel(KernelName(chosen, staged.fused), t);
-      moderator->RecordFeedback(metadata, chosen, t);
-    }
+    // Fused runs cost through the fused kernel model and report under the
+    // fused kernel names.
+    const SimTime t = staged.fused ? cost.FusedScanAggregateTime(chosen, kp)
+                                   : cost.GroupByKernelTime(chosen, kp);
+    BLUSIM_RETURN_NOT_OK(RunKernel(device, chosen, args));
+    stats->kernel_time += t;
+    device->AccountKernel(KernelName(chosen, staged.fused), t);
     stats->kernel_used = chosen;
     stats->table_capacity = capacity;
 
     // --- Error-recovery path: the KMV estimate was too low and the table
     // filled up. Grow it and retry (section 4.2). ---
     if (overflow.load() > 0) {
-      if (attempt == options.max_retries) {
+      if (attempt == kMaxRetries) {
         return Status::EstimateTooLow(
             "hash table overflowed after max retries");
       }

@@ -2,15 +2,9 @@
 #define BLUSIM_GROUPBY_MODERATOR_H_
 
 #include <cstdint>
-#include <map>
-#include <vector>
 
-#include "common/annotations.h"
-
-#include "common/sim_clock.h"
 #include "gpusim/cost_model.h"
 #include "groupby/layout.h"
-#include "obs/metrics.h"
 
 namespace blusim::groupby {
 
@@ -34,22 +28,11 @@ struct ModeratorOptions {
   // Kernel 2 requires the estimated groups to fill at most this fraction
   // of the shared-memory table.
   double shared_table_max_fill = 0.5;
-  // When true (and device resources allow), run the top-2 candidate
-  // kernels concurrently and keep the first finisher (section 4.2).
-  bool enable_racing = false;
-  // When true, consult recorded feedback before the static rules
-  // (the paper lists this as future work; implemented as an extension).
-  bool use_feedback = false;
-  // Cap on the feedback table: when an insert would exceed this many
-  // signatures, the least-recently-used cell is evicted (0 = unbounded).
-  // Long-running servers see an unbounded stream of query shapes; the
-  // table must not grow with them.
-  size_t max_feedback_entries = 1024;
 };
 
 // The GPU moderator: selects the group-by kernel for a query at runtime
-// from optimizer/KMV metadata, optionally races multiple kernels, and
-// records per-kernel feedback for the learned-preference extension.
+// from optimizer/KMV metadata with the paper's fixed rules. Stateless, so
+// concurrent queries share one instance without locking.
 class GpuModerator {
  public:
   explicit GpuModerator(ModeratorOptions options = {})
@@ -57,7 +40,7 @@ class GpuModerator {
 
   const ModeratorOptions& options() const { return options_; }
 
-  // Primary kernel choice per the paper's rules:
+  // Kernel choice per the paper's rules:
   //   few groups (fits shared memory, narrow key)        -> kernel 2
   //   many aggregates OR low rows/groups contention      -> kernel 3
   //   otherwise                                          -> kernel 1
@@ -65,49 +48,8 @@ class GpuModerator {
       const QueryMetadata& metadata, const HashTableLayout& layout,
       uint64_t usable_shared_mem) const;
 
-  // Ranked candidate list (best first); used for concurrent racing.
-  std::vector<gpusim::GroupByKernelKind> CandidateKernels(
-      const QueryMetadata& metadata, const HashTableLayout& layout,
-      uint64_t usable_shared_mem) const;
-
-  // Feedback hook: records the observed simulated duration of `kind` for a
-  // query signature. With `use_feedback`, ChooseKernel prefers the kernel
-  // with the best recorded time for similar queries.
-  void RecordFeedback(const QueryMetadata& metadata,
-                      gpusim::GroupByKernelKind kind, SimTime duration)
-      EXCLUDES(mu_);
-
-  // Number of feedback observations recorded (for tests/monitoring).
-  size_t feedback_entries() const EXCLUDES(mu_);
-
-  // Wires the feedback-table size gauge into `metrics`.
-  void AttachMetrics(obs::MetricsRegistry* metrics);
-
  private:
-  // Coarse query signature for the feedback table: log2 buckets of rows
-  // and groups plus the aggregate count.
-  struct Signature {
-    int rows_log2;
-    int groups_log2;
-    int num_aggregates;
-    auto operator<=>(const Signature&) const = default;
-  };
-  static Signature MakeSignature(const QueryMetadata& metadata);
-
-  struct FeedbackCell {
-    SimTime best_time = 0;
-    gpusim::GroupByKernelKind best_kernel = gpusim::GroupByKernelKind::kRegular;
-    uint64_t observations = 0;
-    uint64_t last_used = 0;  // use_tick_ at the most recent read or write
-  };
-
   ModeratorOptions options_;
-  mutable common::Mutex mu_{"groupby.GpuModerator.mu",
-                            common::LockRank::kExec};
-  // mutable: feedback reads refresh recency under mu_ from const methods.
-  mutable uint64_t use_tick_ GUARDED_BY(mu_) = 0;
-  mutable std::map<Signature, FeedbackCell> feedback_ GUARDED_BY(mu_);
-  obs::Gauge* entries_gauge_ = nullptr;
 };
 
 }  // namespace blusim::groupby

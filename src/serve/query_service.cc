@@ -42,7 +42,6 @@ bool QueryHandle::CancelIfQueued() {
 QueryService::QueryService(core::Engine* engine, ServiceOptions options)
     : engine_(engine), options_(std::move(options)) {
   options_.max_concurrent = std::max(1, options_.max_concurrent);
-  if (options_.default_weight <= 0) options_.default_weight = 1.0;
   const core::EngineConfig& config = engine_->config();
   const uint64_t slots = static_cast<uint64_t>(options_.max_concurrent);
   const size_t num_devices = engine_->scheduler().num_devices();
@@ -90,7 +89,8 @@ QueryService::QueryService(core::Engine* engine, ServiceOptions options)
       "Queries admitted past the service's concurrency gate");
   shed_total_ = metrics.GetCounter(
       "blusim_serve_shed_total", {},
-      "Submissions rejected: admission queue full or queue wait timed out");
+      "Submissions shed: admission queue full, queued past the deadline, "
+      "evicted, cancelled or shut down");
   degraded_total_ = metrics.GetCounter(
       "blusim_serve_degraded_total", {},
       "Served queries that degraded a GPU-routed phase to the CPU");
@@ -165,7 +165,6 @@ QueryService::Tenant* QueryService::GetTenantLocked(const std::string& name) {
 
   auto tenant = std::make_unique<Tenant>();
   tenant->name = name;
-  tenant->weight = options_.default_weight;
   for (const TenantClassSpec& spec : options_.tenant_classes) {
     if (spec.tenant == name) {
       tenant->weight = spec.weight;
@@ -356,22 +355,7 @@ QueryHandle QueryService::SubmitAsync(const core::QuerySpec& query,
 
 Result<core::QueryResult> QueryService::Submit(const core::QuerySpec& query,
                                                const std::string& tenant) {
-  const auto enqueued = std::chrono::steady_clock::now();
-  QueryHandle handle = SubmitAsync(query, tenant);
-  if (options_.admission_timeout_us > 0) {
-    const auto deadline =
-        enqueued + std::chrono::microseconds(options_.admission_timeout_us);
-    if (handle.future().wait_until(deadline) == std::future_status::timeout) {
-      if (options_.before_timeout_cancel) options_.before_timeout_cancel();
-      // Best-effort: only sheds while still queued. A ticket picked up in
-      // the race window (timed out exactly as it became head-of-line) is
-      // admitted and its real result returned below.
-      CancelTicket(handle.tenant(), handle.ticket(), "admission_timeout",
-                   "admission wait exceeded " +
-                       std::to_string(options_.admission_timeout_us) + "us");
-    }
-  }
-  return handle.Get();
+  return SubmitAsync(query, tenant).Get();
 }
 
 void QueryService::PauseAdmission() {
@@ -590,9 +574,7 @@ void QueryService::ExecuteTicket(std::unique_ptr<Ticket> ticket) {
         slo_->Window(ticket->qclass, mode, ticket->tenant);
     const bool outlier =
         window.count >= options_.tail_outlier_min_window &&
-        static_cast<double>(elapsed) >
-            options_.tail_outlier_factor *
-                static_cast<double>(window.QuantileUpperBound(0.99));
+        elapsed > window.QuantileUpperBound(0.99);
     slo_->Record(ticket->qclass, mode, ticket->tenant, elapsed);
     CountOutcome(ticket->qclass, "completed");
     if (degraded) CountOutcome(ticket->qclass, "degraded");

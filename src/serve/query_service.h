@@ -44,10 +44,6 @@ struct ServiceOptions {
   // submission is shed with kOverloaded (bounded queue = bounded latency)
   // unless it outranks a queued ticket, which is then evicted instead.
   size_t max_queue_depth = 16;
-  // Wall-clock cap on time spent queued before a *blocking* Submit sheds
-  // itself (microseconds; 0 = wait indefinitely). Async submissions bound
-  // their queue time with SubmitOptions::deadline_us instead.
-  int64_t admission_timeout_us = 0;
 
   // Per-query memory budgets (0 = derive a fair share: one device's
   // memory and the pinned pool, each divided by max_concurrent). A GPU
@@ -69,9 +65,8 @@ struct ServiceOptions {
   // must not re-poll in lockstep) and installs the deadline above.
   sched::WaitOptions wait;
 
-  // Weighted admission classes. Tenants not listed get default_weight.
+  // Weighted admission classes. Tenants not listed get weight 1.0.
   std::vector<TenantClassSpec> tenant_classes;
-  double default_weight = 1.0;
 
   // Serving-side observability (docs/observability.md, "Live
   // monitoring"): SLO windows per (class, mode, tenant) and the query
@@ -80,16 +75,10 @@ struct ServiceOptions {
   // always recorded and pinned.
   obs::SloOptions slo;
   obs::FlightRecorderOptions flight;
-  // A completion this many times slower than the live window's p99
-  // bucket bound is recorded as a "tail_outlier" anomaly (requires at
-  // least tail_outlier_min_window completions in the window).
-  double tail_outlier_factor = 1.0;
+  // A completion slower than the live window's p99 bucket bound is
+  // recorded as a "tail_outlier" anomaly (requires at least
+  // tail_outlier_min_window completions in the window).
   uint64_t tail_outlier_min_window = 32;
-
-  // Test-only: invoked by the blocking Submit wrapper after its future
-  // wait times out, before it tries to cancel the queued ticket. Lets
-  // tests construct the timeout-vs-admission race deterministically.
-  std::function<void()> before_timeout_cancel;
 };
 
 // Per-submission controls for SubmitAsync.
@@ -114,7 +103,7 @@ struct SubmitOptions {
 struct ServiceStats {
   uint64_t submitted = 0;
   uint64_t admitted = 0;
-  uint64_t shed = 0;       // rejected: queue full, timeout, deadline, evicted
+  uint64_t shed = 0;       // rejected: queue full, deadline, evicted, cancelled
   uint64_t completed = 0;
   uint64_t degraded = 0;   // completed, but a GPU phase re-routed to CPU
   uint64_t failed = 0;     // admitted but returned a non-overload error
@@ -197,8 +186,7 @@ class QueryHandle {
 //
 // SubmitAsync enqueues and returns immediately with a future/handle, so a
 // single client thread can keep hundreds of queries in flight; the
-// blocking Submit is a thin wrapper (SubmitAsync + wait, with the legacy
-// admission_timeout_us behavior).
+// blocking Submit is SubmitAsync + Get.
 //
 // Every outcome feeds the serving observability layer: end-to-end
 // latencies land in per-(class, mode, tenant) sliding windows
@@ -223,8 +211,8 @@ class QueryService {
                           SubmitOptions opts = SubmitOptions()) EXCLUDES(mu_);
 
   // Blocks until admitted and executed, and returns the result.
-  // kOverloaded when the admission queue was full or the queue wait
-  // exceeded admission_timeout_us; any other error is the query's own.
+  // kOverloaded when the submission was shed (see SubmitAsync); any other
+  // error is the query's own.
   // `tenant` labels the submitting stream/tenant in the SLO windows and
   // the flight recorder ("" = the reserved kNoTenant label).
   Result<core::QueryResult> Submit(const core::QuerySpec& query,

@@ -1,7 +1,6 @@
 // Deep tests of the device group-by: each kernel forced and verified
-// against the CPU chain, the overflow/retry error path, concurrent-kernel
-// racing, wide keys, lock-typed payloads, and the all-Fs key sentinel
-// fallback.
+// against the CPU chain, the overflow/retry error path, wide keys,
+// lock-typed payloads, and the all-Fs key sentinel fallback.
 
 #include "groupby/gpu_groupby.h"
 
@@ -74,12 +73,11 @@ class GpuGroupByTest : public ::testing::Test {
   // Runs GPU and CPU paths and verifies identical group structure and
   // integer/decimal aggregates (float sums compared with tolerance).
   void VerifyAgainstCpu(const Table& table, const GroupBySpec& spec,
-                        GpuGroupByStats* stats,
-                        const GpuGroupByOptions& options = {}) {
+                        GpuGroupByStats* stats) {
     auto plan = GroupByPlan::Make(table, spec);
     ASSERT_TRUE(plan.ok()) << plan.status().ToString();
     auto gpu = GpuGroupBy::Execute(plan.value(), &device_, &pinned_, &pool_,
-                                   &moderator_, nullptr, options, stats);
+                                   &moderator_, nullptr, {}, stats);
     ASSERT_TRUE(gpu.ok()) << gpu.status().ToString();
     auto cpu = runtime::CpuGroupBy::Execute(plan.value(), &pool_);
     ASSERT_TRUE(cpu.ok());
@@ -184,16 +182,6 @@ TEST_F(GpuGroupByTest, NullPayloadsSkipped) {
                      {AggFn::kCount, -1, "n"}};
   GpuGroupByStats stats;
   VerifyAgainstCpu(*t, spec, &stats);
-}
-
-TEST_F(GpuGroupByTest, RacingProducesCorrectResults) {
-  auto t = MakeTable(40000, 3000, 8);
-  GpuGroupByStats stats;
-  GpuGroupByOptions options;
-  options.enable_racing = true;
-  VerifyAgainstCpu(*t, BasicSpec(false, false), &stats, options);
-  EXPECT_TRUE(stats.raced);
-  EXPECT_GT(stats.loser_time, 0);
 }
 
 TEST_F(GpuGroupByTest, SentinelKeyFallsBackToCpu) {

@@ -1,5 +1,4 @@
-// Tests for the GPU moderator's kernel-selection rules (section 4.3) and
-// the feedback-learning extension.
+// Tests for the GPU moderator's kernel-selection rules (section 4.3).
 
 #include "groupby/moderator.h"
 
@@ -56,6 +55,18 @@ TEST_F(ModeratorTest, FewGroupsGetKernel2) {
   GpuModerator mod;
   EXPECT_EQ(mod.ChooseKernel(Meta(4000000, 12, 3), *layout_, kSharedMem),
             GroupByKernelKind::kSharedMem);
+
+  // Kernel 2 takes groups up to shared capacity x shared_table_max_fill,
+  // inclusive; one group more goes to the global table.
+  const uint64_t limit = static_cast<uint64_t>(
+      static_cast<double>(SharedTableCapacity(*layout_, kSharedMem)) *
+      mod.options().shared_table_max_fill);
+  ASSERT_GT(limit, 0u);
+  EXPECT_EQ(mod.ChooseKernel(Meta(4000000, limit, 3), *layout_, kSharedMem),
+            GroupByKernelKind::kSharedMem);
+  EXPECT_EQ(
+      mod.ChooseKernel(Meta(4000000, limit + 1, 3), *layout_, kSharedMem),
+      GroupByKernelKind::kRegular);
 }
 
 TEST_F(ModeratorTest, ManyAggregatesGetKernel3) {
@@ -71,15 +82,22 @@ TEST_F(ModeratorTest, LowContentionGetsKernel3) {
   GpuModerator mod;
   EXPECT_EQ(mod.ChooseKernel(Meta(1000000, 800000, 3), *layout_, kSharedMem),
             GroupByKernelKind::kRowLock);
+  // Kernel 3 needs rows/groups strictly below 4.0: exactly 4.0 stays on
+  // kernel 1, just under it moves.
+  EXPECT_EQ(mod.ChooseKernel(Meta(400000, 100000, 3), *layout_, kSharedMem),
+            GroupByKernelKind::kRegular);
+  EXPECT_EQ(mod.ChooseKernel(Meta(399999, 100000, 3), *layout_, kSharedMem),
+            GroupByKernelKind::kRowLock);
 }
 
 TEST_F(ModeratorTest, WideKeysNeverGetKernel2) {
   GpuModerator mod;
-  QueryMetadata m = Meta(4000000, 12, 3);
-  m.wide_key = true;
-  const auto candidates = mod.CandidateKernels(m, *layout_, kSharedMem);
-  for (GroupByKernelKind k : candidates) {
-    EXPECT_NE(k, GroupByKernelKind::kSharedMem);
+  for (uint64_t groups : {2ULL, 12ULL, 1000ULL}) {
+    QueryMetadata m = Meta(4000000, groups, 3);
+    m.wide_key = true;
+    EXPECT_EQ(mod.ChooseKernel(m, *layout_, kSharedMem),
+              GroupByKernelKind::kRegular)
+        << groups << " groups";
   }
 }
 
@@ -92,90 +110,18 @@ TEST_F(ModeratorTest, LockTypedPayloadPrefersRowLock) {
 }
 
 TEST_F(ModeratorTest, CandidatesAlwaysContainRegular) {
+  // Kernel 1 is the fallback: when the shared table cannot hold the groups
+  // (too many of them, or no shared memory at all) and no kernel-3 rule
+  // fires, the pick is the regular kernel.
   GpuModerator mod;
-  for (uint64_t groups : {2ULL, 1000ULL, 1000000ULL}) {
-    const auto candidates =
-        mod.CandidateKernels(Meta(2000000, groups, 3), *layout_, kSharedMem);
-    EXPECT_FALSE(candidates.empty());
-    EXPECT_NE(std::find(candidates.begin(), candidates.end(),
-                        GroupByKernelKind::kRegular),
-              candidates.end());
+  for (uint64_t groups : {2ULL, 1000ULL, 100000ULL}) {
+    EXPECT_EQ(mod.ChooseKernel(Meta(2000000, groups, 3), *layout_,
+                               /*usable_shared_mem=*/0),
+              GroupByKernelKind::kRegular)
+        << groups << " groups";
   }
-}
-
-TEST_F(ModeratorTest, FeedbackOverridesStaticChoice) {
-  ModeratorOptions options;
-  options.use_feedback = true;
-  GpuModerator mod(options);
-  const QueryMetadata m = Meta(4000000, 50000, 3);
-  // Static rule says kernel 1; record kernel 3 as faster.
-  EXPECT_EQ(mod.ChooseKernel(m, *layout_, kSharedMem),
+  EXPECT_EQ(mod.ChooseKernel(Meta(2000000, 100000, 3), *layout_, kSharedMem),
             GroupByKernelKind::kRegular);
-  mod.RecordFeedback(m, GroupByKernelKind::kRegular, 900);
-  mod.RecordFeedback(m, GroupByKernelKind::kRowLock, 500);
-  EXPECT_EQ(mod.ChooseKernel(m, *layout_, kSharedMem),
-            GroupByKernelKind::kRowLock);
-  EXPECT_EQ(mod.feedback_entries(), 1u);
-}
-
-TEST_F(ModeratorTest, FeedbackIgnoredWhenDisabled) {
-  GpuModerator mod;  // use_feedback = false
-  const QueryMetadata m = Meta(4000000, 50000, 3);
-  mod.RecordFeedback(m, GroupByKernelKind::kRowLock, 1);
-  EXPECT_EQ(mod.ChooseKernel(m, *layout_, kSharedMem),
-            GroupByKernelKind::kRegular);
-}
-
-TEST_F(ModeratorTest, FeedbackTableCappedWithLruEviction) {
-  // Regression: the feedback table grew without bound -- one entry per
-  // query signature, forever, in a long-running server. It is now capped
-  // and evicts the least-recently-used signature.
-  ModeratorOptions options;
-  options.use_feedback = true;
-  options.max_feedback_entries = 2;
-  GpuModerator mod(options);
-  const QueryMetadata a = Meta(1ULL << 20, 50000, 3);
-  const QueryMetadata b = Meta(1ULL << 22, 50000, 3);
-  const QueryMetadata c = Meta(1ULL << 24, 50000, 3);
-  // Static rule picks kernel 1 for all three shapes, so a kRowLock answer
-  // below proves the feedback cell is still present.
-  for (const QueryMetadata* m : {&a, &b, &c}) {
-    EXPECT_EQ(mod.ChooseKernel(*m, *layout_, kSharedMem),
-              GroupByKernelKind::kRegular);
-  }
-
-  mod.RecordFeedback(a, GroupByKernelKind::kRowLock, 100);
-  mod.RecordFeedback(b, GroupByKernelKind::kRowLock, 100);
-  EXPECT_EQ(mod.feedback_entries(), 2u);
-  // Reading `a` refreshes its recency, leaving `b` as the LRU entry.
-  EXPECT_EQ(mod.ChooseKernel(a, *layout_, kSharedMem),
-            GroupByKernelKind::kRowLock);
-  mod.RecordFeedback(c, GroupByKernelKind::kRowLock, 100);
-  EXPECT_EQ(mod.feedback_entries(), 2u);
-  EXPECT_EQ(mod.ChooseKernel(a, *layout_, kSharedMem),
-            GroupByKernelKind::kRowLock);  // survived
-  EXPECT_EQ(mod.ChooseKernel(c, *layout_, kSharedMem),
-            GroupByKernelKind::kRowLock);  // newly inserted
-  EXPECT_EQ(mod.ChooseKernel(b, *layout_, kSharedMem),
-            GroupByKernelKind::kRegular);  // evicted, back to the static rule
-}
-
-TEST_F(ModeratorTest, FeedbackEntriesGaugeTracksTableSize) {
-  obs::MetricsRegistry registry;
-  ModeratorOptions options;
-  options.use_feedback = true;
-  options.max_feedback_entries = 2;
-  GpuModerator mod(options);
-  mod.AttachMetrics(&registry);
-  obs::Gauge* gauge = registry.GetGauge("blusim_moderator_feedback_entries");
-  mod.RecordFeedback(Meta(1ULL << 20, 50000, 3),
-                     GroupByKernelKind::kRowLock, 100);
-  EXPECT_EQ(gauge->Value(), 1);
-  mod.RecordFeedback(Meta(1ULL << 22, 50000, 3),
-                     GroupByKernelKind::kRowLock, 100);
-  mod.RecordFeedback(Meta(1ULL << 24, 50000, 3),
-                     GroupByKernelKind::kRowLock, 100);  // capped: evicts
-  EXPECT_EQ(gauge->Value(), 2);
 }
 
 TEST(SharedTableCapacityTest, FitsBudget) {

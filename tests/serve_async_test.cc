@@ -1,7 +1,7 @@
 // Asynchronous-serving tests: SubmitAsync handles, per-tenant weighted
 // fair admission (stride scheduling), deadline shedding, priority
-// eviction, the reserved "-" tenant label, the admission-timeout race,
-// queue-depth gauge consistency, and the thundering-herd wakeup gate.
+// eviction, the reserved "-" tenant label, queue-depth gauge
+// consistency, and the thundering-herd wakeup gate.
 //
 // Labeled `concurrency` so it runs under the BLUSIM_SANITIZE=thread build.
 
@@ -296,55 +296,6 @@ TEST_F(ServeAsyncTest, NoTenantAliasesToReservedDash) {
     saw_record = true;
   }
   EXPECT_TRUE(saw_record);
-}
-
-// The admission-timeout race: a blocking Submit whose wait times out at
-// the exact moment its ticket becomes head-of-line must be admitted, not
-// shed -- the cancel finds the ticket already picked and the caller gets
-// the real result.
-TEST_F(ServeAsyncTest, AdmissionTimeoutRaceAdmitsInsteadOfSheds) {
-  serve::QueryService* svc = nullptr;
-  serve::ServiceOptions sopts;
-  sopts.max_concurrent = 1;
-  sopts.max_queue_depth = 4;
-  sopts.admission_timeout_us = 2000;
-  // Runs on the submitting thread after its wait timed out, before it
-  // tries to cancel: resume admission and hold the thread until an
-  // executor has picked the ticket up, making "timeout loses the race to
-  // admission" deterministic.
-  sopts.before_timeout_cancel = [&svc] {
-    svc->ResumeAdmission();
-    while (svc->stats().admitted == 0) std::this_thread::yield();
-  };
-  serve::QueryService service(engine_, sopts);
-  svc = &service;
-
-  service.PauseAdmission();
-  auto r = service.Submit(MakeQuery(), "racer");
-  ASSERT_TRUE(r.ok()) << "ticket picked before cancel must be admitted: "
-                      << r.status().ToString();
-
-  const serve::ServiceStats stats = service.stats();
-  EXPECT_EQ(stats.completed, 1u);
-  EXPECT_EQ(stats.shed, 0u);
-  EXPECT_EQ(stats.deadline_shed, 0u);
-}
-
-// An admission timeout with no such race sheds as before: the ticket is
-// still queued when the cancel lands, so the caller gets kOverloaded.
-TEST_F(ServeAsyncTest, AdmissionTimeoutStillShedsWhenQueued) {
-  serve::ServiceOptions sopts;
-  sopts.max_concurrent = 1;
-  sopts.max_queue_depth = 4;
-  sopts.admission_timeout_us = 1000;
-  serve::QueryService service(engine_, sopts);
-
-  service.PauseAdmission();
-  auto r = service.Submit(MakeQuery(), "waiter");
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kOverloaded);
-  EXPECT_EQ(service.stats().shed, 1u);
-  service.ResumeAdmission();
 }
 
 // blusim_serve_queue_depth must equal the queue size after every
