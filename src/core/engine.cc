@@ -147,8 +147,7 @@ Engine::Engine(EngineConfig config)
       devices_(MakeDevices(config)),
       scheduler_(DevicePointers(devices_), &metrics_),
       pinned_(config.pinned_pool_bytes, &metrics_),
-      pool_(config.cpu_threads, &metrics_),
-      moderator_(config.moderator_options) {
+      pool_(config.cpu_threads, &metrics_) {
   for (auto& device : devices_) {
     device->memory().AttachChecker(checker_.get());
   }
@@ -204,8 +203,10 @@ uint64_t Engine::EstimateGroups(const GroupByPlan& plan,
   if (n == 0) return 0;
   // Full-pass KMV sketch over the grouping keys, the same estimate the
   // HASH evaluator produces for the GPU runtime (section 4.2). A sketch
-  // cannot be fooled by bounded domains the way sample-extrapolation can,
-  // and the pass is a tiny fraction of the query's work.
+  // cannot be fooled by bounded domains the way sample-extrapolation can.
+  // The pass is not cheap: it packs and hashes every selected row one at
+  // a time, and on the BD Insights mix it costs more host time than the
+  // column-at-a-time FilterScan that produced the selection.
   KmvSketch sketch(512);
   for (uint64_t i = 0; i < n; ++i) {
     uint64_t h;
@@ -235,24 +236,24 @@ OptimizerEstimates Engine::SampleEstimates(
   const uint64_t target =
       std::min<uint64_t>(n, std::max<uint64_t>(4096, n / 64));
   const uint64_t step = std::max<uint64_t>(1, n / target);
-  KmvSketch sketch(512);
-  uint64_t examined = 0;
-  uint64_t passed = 0;
+  std::vector<uint32_t> sample;
+  sample.reserve(n / step + 1);
   for (uint64_t row = 0; row < n; row += step) {
-    ++examined;
-    if (!filters.empty() &&
-        !runtime::RowMatchesPredicates(fact, filters,
-                                       static_cast<uint32_t>(row))) {
-      continue;
-    }
-    ++passed;
+    sample.push_back(static_cast<uint32_t>(row));
+  }
+  const uint64_t examined = sample.size();
+  const uint64_t passed = runtime::SelectRows(
+      fact, filters, runtime::MorselRange{0, examined}, sample.data(),
+      sample.data());
+  KmvSketch sketch(512);
+  for (uint64_t i = 0; i < passed; ++i) {
     uint64_t h;
     if (plan.wide_key()) {
       runtime::WideKey wk;
-      plan.FillWideKey(static_cast<uint32_t>(row), &wk);
+      plan.FillWideKey(sample[i], &wk);
       h = Murmur3_64(wk.bytes, wk.len);
     } else {
-      h = Mix64(plan.PackKey(static_cast<uint32_t>(row)));
+      h = Mix64(plan.PackKey(sample[i]));
     }
     sketch.AddHash(h);
   }

@@ -180,7 +180,8 @@ Result<StagedInput> StageSoA(const GroupByPlan& plan,
 // parallel sweep so the per-row loop touches the columns directly.
 struct FusedFieldSpec {
   const Column* column = nullptr;
-  DataType input_type = DataType::kInt64;
+  const char* values = nullptr;  // the column's typed span, as bytes
+  int width = 0;                  // bytes per value; 0: nothing to copy
   int value_offset = -1;  // -1: validity bit only (COUNT) or nothing
   int tag_bit = -1;       // -1: input column has no NULLs
 };
@@ -215,11 +216,34 @@ Result<StagedInput> StageFusedRecords(const GroupByPlan& plan,
   std::vector<FusedFieldSpec> fields(slots.size());
   for (size_t s = 0; s < slots.size(); ++s) {
     if (slots[s].input_column < 0) continue;
-    fields[s].column =
-        &table.column(static_cast<size_t>(slots[s].input_column));
-    fields[s].input_type = slots[s].input_type;
-    fields[s].value_offset = layout.value_offsets[s];
-    fields[s].tag_bit = layout.tag_bits[s];
+    const Column& col =
+        table.column(static_cast<size_t>(slots[s].input_column));
+    FusedFieldSpec& f = fields[s];
+    f.column = &col;
+    f.value_offset = layout.value_offsets[s];
+    f.tag_bit = layout.tag_bits[s];
+    if (f.value_offset < 0) continue;
+    switch (slots[s].input_type) {
+      case DataType::kInt32:
+      case DataType::kDate:
+        f.values = reinterpret_cast<const char*>(col.int32_data().data());
+        f.width = 4;
+        break;
+      case DataType::kInt64:
+        f.values = reinterpret_cast<const char*>(col.int64_data().data());
+        f.width = 8;
+        break;
+      case DataType::kFloat64:
+        f.values = reinterpret_cast<const char*>(col.float64_data().data());
+        f.width = 8;
+        break;
+      case DataType::kDecimal128:
+        f.values = reinterpret_cast<const char*>(col.decimal_data().data());
+        f.width = 16;
+        break;
+      case DataType::kString:
+        break;  // string aggregates are rejected at plan time
+    }
   }
 
   const uint64_t num_morsels = runtime::NumMorsels(n, kMorselRows);
@@ -234,21 +258,24 @@ Result<StagedInput> StageFusedRecords(const GroupByPlan& plan,
 
   auto process = [&](uint64_t m) {
     const runtime::MorselRange range = runtime::GetMorsel(n, kMorselRows, m);
-    std::vector<char> scratch(range.size() * stride_bytes);
-    std::vector<uint32_t> ids;
-    ids.reserve(range.size());
+    // Fused filter: the morsel's survivors are found column-at-a-time
+    // first; failing rows are never keyed, hashed or staged.
+    std::vector<uint32_t> ids(range.size());
+    const uint64_t count = runtime::SelectRows(
+        table, filter, range, selection ? selection->data() : nullptr,
+        ids.data());
+    // With the survivor count known, the morsel claims its record range
+    // up front and writes the records in place. Records are byte-packed,
+    // so every byte of the claimed range is written below.
+    const uint64_t base = cursor.fetch_add(count, std::memory_order_relaxed);
+    char* records = staged.records.data() + base * stride_bytes;
+    std::memcpy(staged.host_row_ids.data() + base, ids.data(),
+                count * sizeof(uint32_t));
     KmvSketch kmv(256);
-    uint64_t count = 0;
     uint64_t sentinel_seen = 0;
 
-    for (uint64_t pos = range.begin; pos < range.end; ++pos) {
-      const uint32_t row =
-          selection ? (*selection)[pos] : static_cast<uint32_t>(pos);
-      // Fused filter: failing rows are never keyed, hashed or staged.
-      if (!filter.empty() &&
-          !runtime::RowMatchesPredicates(table, filter, row)) {
-        continue;
-      }
+    for (uint64_t i = 0; i < count; ++i) {
+      const uint32_t row = ids[i];
       const uint64_t key = plan.PackKey(row);
       // A 4-byte key (key_bits <= 32) can never equal the 64-bit all-Fs
       // sentinel; only full-width keys need the check.
@@ -259,7 +286,7 @@ Result<StagedInput> StageFusedRecords(const GroupByPlan& plan,
       // survivor sets.
       kmv.AddHash(Mix64(key));
 
-      char* rec = scratch.data() + count * stride_bytes;
+      char* rec = records + i * stride_bytes;
       if (layout.key_bytes == 4) {
         const uint32_t k32 = static_cast<uint32_t>(key);
         std::memcpy(rec, &k32, 4);
@@ -267,51 +294,30 @@ Result<StagedInput> StageFusedRecords(const GroupByPlan& plan,
         std::memcpy(rec, &key, 8);
       }
       uint32_t tag = 0;
-      for (size_t s = 0; s < fields.size(); ++s) {
-        const FusedFieldSpec& f = fields[s];
+      for (const FusedFieldSpec& f : fields) {
         if (f.column == nullptr) continue;
         if (f.tag_bit >= 0 && !f.column->IsNull(row)) {
           tag |= 1u << f.tag_bit;
         }
-        if (f.value_offset < 0) continue;
-        char* dst = rec + f.value_offset;
+        if (f.width == 0) continue;  // validity bit only, or nothing
         // NULL rows still copy the placeholder value; the kernel masks
         // them via the validity tag, mirroring the SoA arrays.
-        switch (f.input_type) {
-          case DataType::kInt32:
-          case DataType::kDate:
-            std::memcpy(dst, &f.column->int32_data()[row], 4);
-            break;
-          case DataType::kInt64:
-            std::memcpy(dst, &f.column->int64_data()[row], 8);
-            break;
-          case DataType::kFloat64:
-            std::memcpy(dst, &f.column->float64_data()[row], 8);
-            break;
-          case DataType::kDecimal128:
-            std::memcpy(dst, &f.column->decimal_data()[row], 16);
-            break;
-          case DataType::kString:
-            break;  // string aggregates are rejected at plan time
+        char* dst = rec + f.value_offset;
+        const char* src = f.values + static_cast<uint64_t>(row) * f.width;
+        switch (f.width) {
+          case 4: std::memcpy(dst, src, 4); break;
+          case 8: std::memcpy(dst, src, 8); break;
+          default: std::memcpy(dst, src, 16); break;
         }
       }
       if (layout.tag_bytes > 0) {
         std::memcpy(rec + layout.tag_offset, &tag,
                     static_cast<size_t>(layout.tag_bytes));
       }
-      ids.push_back(row);
-      ++count;
     }
 
     if (sentinel_seen != 0) {
       key_sentinel_hit.store(true, std::memory_order_relaxed);
-    }
-    if (count > 0) {
-      const uint64_t base = cursor.fetch_add(count, std::memory_order_relaxed);
-      std::memcpy(staged.records.data() + base * stride_bytes, scratch.data(),
-                  count * stride_bytes);
-      std::memcpy(staged.host_row_ids.data() + base, ids.data(),
-                  count * sizeof(uint32_t));
     }
     common::MutexLock lock(&shared.mu);
     shared.kmv.Merge(kmv);

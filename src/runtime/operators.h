@@ -38,13 +38,23 @@ Result<std::vector<uint32_t>> FilterScan(
     const columnar::Table& table, const std::vector<Predicate>& predicates,
     ThreadPool* pool);
 
-// Row-at-a-time predicate conjunction, shared by FilterScan and the fused
-// staging sweep (which evaluates the filter during the pinned-buffer copy
-// instead of materializing a selection vector first). Column indices must
-// be valid -- see ValidatePredicates.
+// Row-at-a-time predicate conjunction: the reference SelectRows is tested
+// against. Column indices must be valid -- see ValidatePredicates.
 bool RowMatchesPredicates(const columnar::Table& table,
                           const std::vector<Predicate>& predicates,
                           uint32_t row);
+
+// Batch form of the same conjunction, column-at-a-time. The candidates are
+// row ids [rows.begin, rows.end) when `input` is null, else the selection
+// slice input[rows.begin, rows.end). Writes the survivors, in candidate
+// order, to `out` (rows.size() entries; it may be input + rows.begin, for
+// in-place filtering) and returns their count. Each predicate resolves its
+// column and picks a typed loop once; the first scans the candidates and
+// each later one compacts the survivors in place. Selects exactly the rows
+// RowMatchesPredicates accepts. Column indices must be valid.
+uint64_t SelectRows(const columnar::Table& table,
+                    const std::vector<Predicate>& predicates,
+                    MorselRange rows, const uint32_t* input, uint32_t* out);
 
 // Checks every predicate's column index against the table's schema.
 Status ValidatePredicates(const columnar::Table& table,

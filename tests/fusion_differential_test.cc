@@ -36,10 +36,12 @@ using runtime::GroupBySpec;
 using runtime::Predicate;
 
 // Columns: k (int32 key), k2 (int32 key), wk/wk2 (int64 wide-key pair),
-// v (nullable int64), f (nullable float64), dec (decimal), sel (0..99).
+// v (nullable int64), f (nullable float64; `nan_frac` of its non-null
+// values are NaN, +inf or -inf), dec (decimal), sel (0..99).
 std::shared_ptr<Table> MakeFact(uint64_t rows, uint64_t groups, uint64_t seed,
                                 double null_frac = 0.2,
-                                bool all_null_v = false) {
+                                bool all_null_v = false,
+                                double nan_frac = 0.0) {
   Schema schema;
   schema.AddField({"k", DataType::kInt32, false});
   schema.AddField({"k2", DataType::kInt32, false});
@@ -63,6 +65,9 @@ std::shared_ptr<Table> MakeFact(uint64_t rows, uint64_t groups, uint64_t seed,
     }
     if (rng.NextDouble() < null_frac) {
       t->column(5).AppendNull();
+    } else if (nan_frac > 0 && rng.NextDouble() < nan_frac) {
+      const double specials[] = {std::nan(""), INFINITY, -INFINITY};
+      t->column(5).AppendDouble(specials[rng.Below(3)]);
     } else {
       t->column(5).AppendDouble(static_cast<double>(rng.Below(1000)) / 4.0);
     }
@@ -347,6 +352,67 @@ TEST_F(FusionDifferentialTest, DirectFusedStageFilterMatchesCpuChain) {
                                           &selection.value());
   ASSERT_TRUE(cpu.ok());
   ExpectSameResults(*gpu->table, *cpu->table);
+}
+
+// Fused stage filter on a nullable int64 column and a NaN/inf-bearing
+// float64 column, against the CPU chain over a per-row reference
+// selection. NaN and +-inf pass `f != 100` and fail `f < 150` exactly as
+// the per-row comparison decides; NULLs pass neither.
+TEST_F(FusionDifferentialTest, DirectFusedFilterOnNullableAndNanColumns) {
+  auto fact = MakeFact(150001, 48, 10, /*null_frac=*/0.2,
+                       /*all_null_v=*/false, /*nan_frac=*/0.1);
+  GroupBySpec spec;
+  spec.key_columns = {0};
+  spec.aggregates = {{AggFn::kSum, 4, "sum_v"},
+                     {AggFn::kCount, 4, "n_v"},
+                     {AggFn::kCount, 5, "n_f"},
+                     {AggFn::kCount, -1, "n"}};
+  Predicate v_ge;
+  v_ge.column = 4;
+  v_ge.op = CmpOp::kGe;
+  v_ge.lo = -50;
+  Predicate f_ne;
+  f_ne.column = 5;
+  f_ne.op = CmpOp::kNe;
+  f_ne.lo = 100.0;
+  Predicate f_lt;
+  f_lt.column = 5;
+  f_lt.op = CmpOp::kLt;
+  f_lt.lo = 150.0;
+
+  runtime::ThreadPool pool(4);
+  for (const std::vector<Predicate>& filter :
+       {std::vector<Predicate>{v_ge, f_ne},
+        std::vector<Predicate>{f_ne, v_ge, f_lt}}) {
+    auto plan = GroupByPlan::Make(*fact, spec);
+    ASSERT_TRUE(plan.ok());
+    plan->set_stage_filter(filter);
+
+    gpusim::DeviceSpec dspec;
+    gpusim::HostSpec hspec;
+    gpusim::SimDevice device(0, dspec, hspec, 2);
+    gpusim::PinnedHostPool pinned(64ULL << 20);
+    groupby::GpuModerator moderator;
+    groupby::GpuGroupByStats stats;
+    auto gpu = groupby::GpuGroupBy::Execute(plan.value(), &device, &pinned,
+                                            &pool, &moderator, nullptr, {},
+                                            &stats);
+    ASSERT_TRUE(gpu.ok()) << gpu.status().ToString();
+    ASSERT_TRUE(stats.fused);
+
+    std::vector<uint32_t> selection;
+    for (uint32_t row = 0; row < fact->num_rows(); ++row) {
+      if (runtime::RowMatchesPredicates(*fact, filter, row)) {
+        selection.push_back(row);
+      }
+    }
+    EXPECT_EQ(stats.rows_staged, selection.size());
+    GroupByPlan cpu_plan = std::move(plan).value();
+    cpu_plan.set_stage_filter({});
+    auto cpu = runtime::CpuGroupBy::Execute(cpu_plan, &pool, &selection);
+    ASSERT_TRUE(cpu.ok());
+    ExpectSameResults(*gpu->table, *cpu->table);
+  }
 }
 
 }  // namespace
