@@ -11,6 +11,7 @@
 #include "bench_common.h"
 #include "columnar/table.h"
 #include "gpusim/cost_model.h"
+#include "groupby/kernels.h"
 #include "groupby/layout.h"
 #include "groupby/moderator.h"
 #include "harness/report.h"
@@ -82,8 +83,7 @@ void AblationKernelChoice(const gpusim::CostModel& cost) {
   };
   const groupby::GpuModerator moderator;
   gpusim::DeviceSpec dev;
-  // The 48 KB shared-memory split kernel 2 configures (section 4.3.2).
-  const uint64_t shared_mem = dev.shared_mem_per_smx_bytes * 3 / 4;
+  const uint64_t shared_mem = groupby::Kernel2SharedMemBytes(dev);
   for (const Shape& s :
        {Shape{"regular (50k groups, 3 aggs)", 4000000, 50000, 3},
         Shape{"few groups (12 groups)", 4000000, 12, 3},

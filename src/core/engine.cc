@@ -79,6 +79,17 @@ int ScanWidth(const Table& table, const std::vector<Predicate>& predicates) {
   return std::max(width, 4);
 }
 
+// A grouping key's hash as the HASH evaluator computes it: Murmur over a
+// wide key's bytes, Mix64 of a packed narrow key.
+uint64_t KeyHash(const GroupByPlan& plan, uint32_t row) {
+  if (plan.wide_key()) {
+    runtime::WideKey wk;
+    plan.FillWideKey(row, &wk);
+    return Murmur3_64(wk.bytes, wk.len);
+  }
+  return Mix64(plan.PackKey(row));
+}
+
 // LIMIT pushed below a sort: keep only the first `limit` rows of the sorted
 // permutation, so the rows the LIMIT drops are never materialized.
 void TruncateToLimit(uint64_t limit, std::vector<uint32_t>* perm) {
@@ -172,6 +183,76 @@ void Engine::RecordPhase(PhaseRecord phase, const char* category,
   profile->phases.push_back(std::move(phase));
 }
 
+Result<std::vector<uint32_t>> Engine::ScanFact(const QuerySpec& query,
+                                               const Table& fact,
+                                               QueryProfile* profile,
+                                               obs::TraceBuilder* trace) {
+  BLUSIM_ASSIGN_OR_RETURN(
+      std::vector<uint32_t> selection,
+      runtime::FilterScan(fact, query.fact_filters, &pool_));
+  PhaseRecord scan;
+  scan.kind = PhaseRecord::Kind::kCpu;
+  scan.label = "scan";
+  scan.cpu_work = cost_.HostScanTime(
+      fact.num_rows(),
+      query.fact_filters.empty() ? 4 : ScanWidth(fact, query.fact_filters),
+      1);
+  scan.dop = config_.query_dop;
+  RecordPhase(std::move(scan), obs::kCatCpu, profile, trace);
+  return selection;
+}
+
+bool Engine::ExceedsBudget(uint64_t bytes, const ExecOptions& opts) {
+  const bool over =
+      (opts.device_budget_bytes > 0 && bytes > opts.device_budget_bytes) ||
+      (opts.pinned_budget_bytes > 0 && bytes > opts.pinned_budget_bytes);
+  if (over) {
+    metrics_
+        .GetCounter("blusim_router_budget_capped_total", {},
+                    "GPU placements re-routed to the CPU by per-query "
+                    "memory budgets")
+        ->Add(1);
+  }
+  return over;
+}
+
+const char* Engine::CountDeviceRun(const groupby::GpuGroupByStats& stats) {
+  const char* kernel_name =
+      stats.fused ? gpusim::GroupByKernelKindFusedName(stats.kernel_used)
+                  : gpusim::GroupByKernelKindName(stats.kernel_used);
+  metrics_
+      .GetCounter("blusim_moderator_kernel_total", {{"kernel", kernel_name}},
+                  "Group-by kernel executions by moderator choice")
+      ->Add(1);
+  metrics_
+      .GetCounter("blusim_bytes_h2d_total", {{"op", "groupby"}},
+                  "Host-to-device bytes moved (true wire sizes)")
+      ->Add(stats.bytes_in);
+  metrics_
+      .GetCounter("blusim_bytes_d2h_total", {{"op", "groupby"}},
+                  "Device-to-host bytes moved (true wire sizes)")
+      ->Add(stats.bytes_out);
+  metrics_
+      .GetCounter("blusim_bytes_staged_avoided_total", {{"op", "groupby"}},
+                  "Staged bytes data-path fusion avoided shipping "
+                  "versus SoA staging of the same survivor rows")
+      ->Add(stats.bytes_avoided);
+  return kernel_name;
+}
+
+void Engine::RecordGroupByFallback(const char* reason, QueryProfile* profile,
+                                   obs::TraceBuilder* trace,
+                                   GroupByOutcome* outcome) {
+  profile->groupby_path = ExecutionPath::kCpu;
+  profile->degraded = true;
+  outcome->path = ExecutionPath::kCpu;
+  trace->Annotate("groupby_fallback", reason);
+  metrics_
+      .GetCounter("blusim_router_groupby_fallbacks_total", {},
+                  "GPU-routed group-bys that fell back to the CPU chain")
+      ->Add(1);
+}
+
 SimTime Engine::startup_registration_time() const {
   if (devices_.empty()) return 0;
   return cost_.HostRegistrationTime(config_.pinned_pool_bytes);
@@ -209,15 +290,7 @@ uint64_t Engine::EstimateGroups(const GroupByPlan& plan,
   // column-at-a-time FilterScan that produced the selection.
   KmvSketch sketch(512);
   for (uint64_t i = 0; i < n; ++i) {
-    uint64_t h;
-    if (plan.wide_key()) {
-      runtime::WideKey wk;
-      plan.FillWideKey(selection[i], &wk);
-      h = Murmur3_64(wk.bytes, wk.len);
-    } else {
-      h = Mix64(plan.PackKey(selection[i]));
-    }
-    sketch.AddHash(h);
+    sketch.AddHash(KeyHash(plan, selection[i]));
   }
   return std::max<uint64_t>(1, sketch.Estimate());
 }
@@ -247,15 +320,7 @@ OptimizerEstimates Engine::SampleEstimates(
       sample.data());
   KmvSketch sketch(512);
   for (uint64_t i = 0; i < passed; ++i) {
-    uint64_t h;
-    if (plan.wide_key()) {
-      runtime::WideKey wk;
-      plan.FillWideKey(sample[i], &wk);
-      h = Murmur3_64(wk.bytes, wk.len);
-    } else {
-      h = Mix64(plan.PackKey(sample[i]));
-    }
-    sketch.AddHash(h);
+    sketch.AddHash(KeyHash(plan, sample[i]));
   }
   est.rows = examined > 0 ? n * passed / examined : n;
   const uint64_t distinct = std::max<uint64_t>(1, sketch.Estimate());
@@ -287,17 +352,8 @@ Result<Engine::GroupByOutcome> Engine::RunGroupBy(
   std::vector<uint32_t> scanned_rows;
   auto materialize_selection = [&]() -> Status {
     if (!deferred) return Status::OK();
-    BLUSIM_ASSIGN_OR_RETURN(
-        scanned_rows, runtime::FilterScan(fact, query.fact_filters, &pool_));
-    PhaseRecord scan;
-    scan.kind = PhaseRecord::Kind::kCpu;
-    scan.label = "scan";
-    scan.cpu_work = cost_.HostScanTime(
-        fact.num_rows(),
-        query.fact_filters.empty() ? 4 : ScanWidth(fact, query.fact_filters),
-        1);
-    scan.dop = config_.query_dop;
-    RecordPhase(std::move(scan), obs::kCatCpu, profile, trace);
+    BLUSIM_ASSIGN_OR_RETURN(scanned_rows,
+                            ScanFact(query, fact, profile, trace));
     selection = &scanned_rows;
     deferred = false;
     plan.set_stage_filter({});
@@ -400,8 +456,6 @@ Result<Engine::GroupByOutcome> Engine::RunGroupBy(
       RecordPhase(std::move(part), obs::kCatCpu, profile, trace);
 
       uint64_t bytes_in = 0;
-      uint64_t bytes_out = 0;
-      uint64_t bytes_avoided = 0;
       uint64_t cpu_chunks = 0;
       uint64_t gpu_chunks = 0;
       uint64_t fallbacks = 0;
@@ -409,8 +463,6 @@ Result<Engine::GroupByOutcome> Engine::RunGroupBy(
         if (chunk.on_gpu) {
           ++gpu_chunks;
           bytes_in += chunk.gpu.bytes_in;
-          bytes_out += chunk.gpu.bytes_out;
-          bytes_avoided += chunk.gpu.bytes_avoided;
           PhaseRecord gp;
           gp.kind = PhaseRecord::Kind::kGpu;
           gp.label = "groupby-partition";
@@ -421,15 +473,7 @@ Result<Engine::GroupByOutcome> Engine::RunGroupBy(
           gp.device_id = chunk.device_id;
           gp.bytes_moved = chunk.gpu.bytes_in + chunk.gpu.bytes_out;
           RecordPhase(std::move(gp), obs::kCatGpu, profile, trace);
-          const char* kernel_name =
-              chunk.gpu.fused
-                  ? gpusim::GroupByKernelKindFusedName(chunk.gpu.kernel_used)
-                  : gpusim::GroupByKernelKindName(chunk.gpu.kernel_used);
-          metrics_
-              .GetCounter("blusim_moderator_kernel_total",
-                          {{"kernel", kernel_name}},
-                          "Group-by kernel executions by moderator choice")
-              ->Add(1);
+          CountDeviceRun(chunk.gpu);
         } else {
           ++cpu_chunks;
           if (chunk.gpu_fallback) ++fallbacks;
@@ -494,20 +538,6 @@ Result<Engine::GroupByOutcome> Engine::RunGroupBy(
                         "Target CPU row share per partitioned query "
                         "(percent)")
           ->Observe(static_cast<uint64_t>(pstats.cpu_split_fraction * 100.0));
-      metrics_
-          .GetCounter("blusim_bytes_h2d_total", {{"op", "groupby"}},
-                      "Host-to-device bytes moved (true wire sizes)")
-          ->Add(bytes_in);
-      metrics_
-          .GetCounter("blusim_bytes_d2h_total", {{"op", "groupby"}},
-                      "Device-to-host bytes moved (true wire sizes)")
-          ->Add(bytes_out);
-      metrics_
-          .GetCounter("blusim_bytes_staged_avoided_total",
-                      {{"op", "groupby"}},
-                      "Staged bytes data-path fusion avoided shipping "
-                      "versus SoA staging of the same survivor rows")
-          ->Add(bytes_avoided);
 
       trace->Annotate("partitions", std::to_string(pstats.num_partitions));
       trace->Annotate("cpu_split",
@@ -520,14 +550,7 @@ Result<Engine::GroupByOutcome> Engine::RunGroupBy(
       return outcome;
     }
     // Partitioned path failed outright: degrade to the CPU chain below.
-    profile->groupby_path = ExecutionPath::kCpu;
-    outcome.path = ExecutionPath::kCpu;
-    profile->degraded = true;
-    trace->Annotate("groupby_fallback", "partitioned");
-    metrics_
-        .GetCounter("blusim_router_groupby_fallbacks_total", {},
-                    "GPU-routed group-bys that fell back to the CPU chain")
-        ->Add(1);
+    RecordGroupByFallback("partitioned", profile, trace, &outcome);
   }
 
   if (path == ExecutionPath::kGpu) {
@@ -557,18 +580,7 @@ Result<Engine::GroupByOutcome> Engine::RunGroupBy(
     // Per-query budgets (serving layer): a reservation beyond this query's
     // granted share of device or pinned memory degrades to the CPU chain
     // up front instead of competing for memory it was not allotted.
-    const bool over_budget =
-        (opts.device_budget_bytes > 0 &&
-         bytes_needed > opts.device_budget_bytes) ||
-        (opts.pinned_budget_bytes > 0 &&
-         bytes_needed > opts.pinned_budget_bytes);
-    if (over_budget) {
-      metrics_
-          .GetCounter("blusim_router_budget_capped_total", {},
-                      "GPU placements re-routed to the CPU by per-query "
-                      "memory budgets")
-          ->Add(1);
-    }
+    const bool over_budget = ExceedsBudget(bytes_needed, opts);
     SimTime waited = 0;
     auto device = over_budget
                       ? Result<gpusim::SimDevice*>(Status::CapacityExceeded(
@@ -614,10 +626,7 @@ Result<Engine::GroupByOutcome> Engine::RunGroupBy(
         gpu.bytes_moved = stats.bytes_in + stats.bytes_out;  // PCIe traffic
         // The device job breaks into timestamped sub-spans instead of one
         // opaque trace block (the profile keeps the aggregate phase).
-        const char* kernel_name =
-            stats.fused
-                ? gpusim::GroupByKernelKindFusedName(stats.kernel_used)
-                : gpusim::GroupByKernelKindName(stats.kernel_used);
+        const char* kernel_name = CountDeviceRun(stats);
         trace->AddPhase("transfer-in", obs::kCatTransfer, stats.transfer_in,
                         gpu.device_id,
                         {{"bytes", std::to_string(stats.bytes_in)}});
@@ -639,25 +648,6 @@ Result<Engine::GroupByOutcome> Engine::RunGroupBy(
         }
         gpu.elapsed = gpu.IdleElapsed(cost_.HostParallelFactor(gpu.dop));
         profile->phases.push_back(std::move(gpu));
-        metrics_
-            .GetCounter("blusim_moderator_kernel_total",
-                        {{"kernel", kernel_name}},
-                        "Group-by kernel executions by moderator choice")
-            ->Add(1);
-        metrics_
-            .GetCounter("blusim_bytes_h2d_total", {{"op", "groupby"}},
-                        "Host-to-device bytes moved (true wire sizes)")
-            ->Add(stats.bytes_in);
-        metrics_
-            .GetCounter("blusim_bytes_d2h_total", {{"op", "groupby"}},
-                        "Device-to-host bytes moved (true wire sizes)")
-            ->Add(stats.bytes_out);
-        metrics_
-            .GetCounter("blusim_bytes_staged_avoided_total",
-                        {{"op", "groupby"}},
-                        "Staged bytes data-path fusion avoided shipping "
-                        "versus SoA staging of the same survivor rows")
-            ->Add(stats.bytes_avoided);
 
         trace->Annotate("actual_groups",
                         std::to_string(gpu_out->table->num_rows()));
@@ -673,14 +663,8 @@ Result<Engine::GroupByOutcome> Engine::RunGroupBy(
       // Recoverable device failure: fall through to the CPU chain.
     }
     // GPU-routed but not executed on the device: graceful degradation.
-    profile->groupby_path = ExecutionPath::kCpu;
-    profile->degraded = true;
-    outcome.path = ExecutionPath::kCpu;
-    trace->Annotate("groupby_fallback", over_budget ? "budget" : "cpu");
-    metrics_
-        .GetCounter("blusim_router_groupby_fallbacks_total", {},
-                    "GPU-routed group-bys that fell back to the CPU chain")
-        ->Add(1);
+    RecordGroupByFallback(over_budget ? "budget" : "cpu", profile, trace,
+                          &outcome);
   }
 
   // CPU chain (baseline figure-1 path; also the fallback and the
@@ -738,17 +722,8 @@ Result<QueryResult> Engine::Execute(const QuerySpec& query,
                           query.joins.empty();
   std::vector<uint32_t> selection;
   if (!defer_scan) {
-    BLUSIM_ASSIGN_OR_RETURN(
-        selection, runtime::FilterScan(*fact, query.fact_filters, &pool_));
-    PhaseRecord scan;
-    scan.kind = PhaseRecord::Kind::kCpu;
-    scan.label = "scan";
-    scan.cpu_work = cost_.HostScanTime(
-        fact->num_rows(),
-        query.fact_filters.empty() ? 4 : ScanWidth(*fact, query.fact_filters),
-        1);
-    scan.dop = config_.query_dop;
-    RecordPhase(std::move(scan), obs::kCatCpu, &profile, &trace);
+    BLUSIM_ASSIGN_OR_RETURN(selection,
+                            ScanFact(query, *fact, &profile, &trace));
   }
 
   // --- Star joins (semi-join reduction of the fact selection) ---
@@ -829,20 +804,11 @@ Result<QueryResult> Engine::Execute(const QuerySpec& query,
           base->num_rows(), sort_bytes, config_.thresholds,
           !devices_.empty(),
           devices_.empty() ? 0 : MinDeviceMemory(devices_));
-      if (path == ExecutionPath::kGpu &&
-          ((opts.device_budget_bytes > 0 &&
-            sort_bytes > opts.device_budget_bytes) ||
-           (opts.pinned_budget_bytes > 0 &&
-            sort_bytes > opts.pinned_budget_bytes))) {
+      if (path == ExecutionPath::kGpu && ExceedsBudget(sort_bytes, opts)) {
         // Per-query budget cap (serving layer): degrade to the CPU sort.
         path = ExecutionPath::kCpu;
         profile.degraded = true;
         trace.Annotate("sort_fallback", "budget");
-        metrics_
-            .GetCounter("blusim_router_budget_capped_total", {},
-                        "GPU placements re-routed to the CPU by per-query "
-                        "memory budgets")
-            ->Add(1);
       }
       profile.sort_path = path;
       trace.Annotate("sort_path", ExecutionPathName(path));

@@ -186,6 +186,27 @@ class Engine {
   void RecordPhase(PhaseRecord phase, const char* category,
                    QueryProfile* profile, obs::TraceBuilder* trace);
 
+  // Runs the fact-table FilterScan and records its "scan" phase.
+  Result<std::vector<uint32_t>> ScanFact(const QuerySpec& query,
+                                         const columnar::Table& fact,
+                                         QueryProfile* profile,
+                                         obs::TraceBuilder* trace);
+
+  // True when a GPU reservation of `bytes` exceeds the query's per-query
+  // device or pinned budget (serving layer); counts the re-route in
+  // blusim_router_budget_capped_total.
+  bool ExceedsBudget(uint64_t bytes, const ExecOptions& opts);
+
+  // Counts one device group-by run (its moderator kernel and PCIe bytes)
+  // and returns the kernel's name.
+  const char* CountDeviceRun(const groupby::GpuGroupByStats& stats);
+
+  // Re-routes a GPU-routed group-by to the CPU chain: marks the query
+  // degraded, annotates `reason` as groupby_fallback and counts it.
+  void RecordGroupByFallback(const char* reason, QueryProfile* profile,
+                             obs::TraceBuilder* trace,
+                             GroupByOutcome* outcome);
+
   EngineConfig config_;
   gpusim::CostModel cost_;
   // Declared before the components so they can register instruments.

@@ -14,20 +14,6 @@ SimDevice::SimDevice(int device_id, const DeviceSpec& spec,
       memory_(spec.device_memory_bytes),
       launcher_(spec, workers) {}
 
-void SimDevice::SetSharedMemConfig(SharedMemConfig config) {
-  shared_config_.store(config);
-}
-
-uint64_t SimDevice::usable_shared_mem() const {
-  const uint64_t total = spec_.shared_mem_per_smx_bytes;
-  switch (shared_config_.load()) {
-    case SharedMemConfig::kShared48L116: return total * 3 / 4;  // 48 KB
-    case SharedMemConfig::kShared16L148: return total / 4;      // 16 KB
-    case SharedMemConfig::kEqual32: return total / 2;           // 32 KB
-  }
-  return total / 2;
-}
-
 SimTime SimDevice::CopyToDevice(const void* src, DeviceBuffer* dst,
                                 uint64_t bytes, bool pinned) {
   BLUSIM_CHECK(dst != nullptr && dst->valid());

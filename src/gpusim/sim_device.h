@@ -15,15 +15,6 @@
 
 namespace blusim::gpusim {
 
-// Shared-memory / L1 split of each SMX. The group-by kernels configure
-// 48 KB shared / 16 KB L1 to maximize room for partial hash tables
-// (section 4.3.2).
-enum class SharedMemConfig {
-  kShared48L116,  // 48 KB shared memory, 16 KB L1 (kernel 2's choice)
-  kShared16L148,  // 16 KB shared memory, 48 KB L1
-  kEqual32,       // 32 / 32
-};
-
 // One simulated GPU: memory manager (reservations), kernel launcher,
 // perf monitor and the PCIe transfer engine. All "time" values returned
 // are simulated durations from the cost model; all data movement and
@@ -44,10 +35,6 @@ class SimDevice {
   KernelLauncher& launcher() { return launcher_; }
   PerfMonitor& monitor() { return monitor_; }
   const PerfMonitor& monitor() const { return monitor_; }
-
-  // --- Shared-memory configuration (cudaFuncSetCacheConfig analogue) ---
-  void SetSharedMemConfig(SharedMemConfig config);
-  uint64_t usable_shared_mem() const;
 
   // --- Outstanding-job tracking for the multi-GPU scheduler (2.2) ---
   void JobStarted() { outstanding_jobs_.fetch_add(1); }
@@ -78,9 +65,6 @@ class SimDevice {
   KernelLauncher launcher_;
   PerfMonitor monitor_;
   std::atomic<int> outstanding_jobs_{0};
-  // Atomic: concurrent queries' kernel-2 launches set it while other
-  // group-bys on the same device read it.
-  std::atomic<SharedMemConfig> shared_config_{SharedMemConfig::kEqual32};
 };
 
 }  // namespace blusim::gpusim

@@ -369,7 +369,7 @@ Result<GpuGroupBy::RawOutput> GpuGroupBy::ExecuteToGroups(
     kp.lock_typed_payload = metadata.lock_typed_payload;
 
     const GroupByKernelKind chosen = moderator->ChooseKernel(
-        metadata, layout, device->usable_shared_mem());
+        metadata, layout, Kernel2SharedMemBytes(device->spec()));
 
     std::atomic<uint64_t> overflow{0};
     GroupByKernelArgs args;

@@ -403,6 +403,10 @@ Status RunKernelRowLock(gpusim::SimDevice* device,
   });
 }
 
+uint64_t Kernel2SharedMemBytes(const gpusim::DeviceSpec& spec) {
+  return spec.shared_mem_per_smx_bytes * 3 / 4;
+}
+
 uint64_t SharedTableCapacity(const HashTableLayout& layout,
                              uint64_t budget_bytes) {
   const uint64_t entry = static_cast<uint64_t>(layout.entry_bytes());
@@ -418,11 +422,9 @@ Status RunKernelSharedMem(gpusim::SimDevice* device,
     // the moderator never routes wide keys here.
     return Status::InvalidArgument("kernel 2 requires a <=64-bit key");
   }
-  // Configure the SMX for the 48 KB shared-memory split (section 4.3.2).
-  device->SetSharedMemConfig(gpusim::SharedMemConfig::kShared48L116);
   const HashTableLayout& layout = *args.layout;
   const uint64_t shared_cap =
-      SharedTableCapacity(layout, device->usable_shared_mem());
+      SharedTableCapacity(layout, Kernel2SharedMemBytes(device->spec()));
   if (shared_cap == 0) {
     return Status::InvalidArgument("hash entry too large for shared memory");
   }

@@ -88,6 +88,12 @@ Status InitHashTable(gpusim::SimDevice* device, const HashTableLayout& layout,
 // hash, so shard choice and probe position stay independent.
 uint64_t NarrowHomeSlot(uint64_t key, uint64_t capacity);
 
+// Shared memory per SMX a kernel-2 launch works in: the 48 KB shared /
+// 16 KB L1 split of section 4.3.2. CUDA sets the split per kernel function
+// (cudaFuncSetCacheConfig), so it is a fixed property of every kernel-2
+// launch and a query's kernel choice does not depend on earlier launches.
+uint64_t Kernel2SharedMemBytes(const gpusim::DeviceSpec& spec);
+
 // Largest power-of-two shared-memory table capacity fitting `budget_bytes`
 // (0 if even a 16-entry table does not fit).
 uint64_t SharedTableCapacity(const HashTableLayout& layout,

@@ -10,10 +10,10 @@ using gpusim::GroupByKernelKind;
 
 GroupByKernelKind GpuModerator::ChooseKernel(const QueryMetadata& metadata,
                                              const HashTableLayout& layout,
-                                             uint64_t usable_shared_mem) const {
+                                             uint64_t shared_mem_bytes) const {
   // Kernel 2: small number of groups, narrow key, groups fit comfortably
   // in the SMX shared-memory table (section 4.3.2).
-  const uint64_t shared_cap = SharedTableCapacity(layout, usable_shared_mem);
+  const uint64_t shared_cap = SharedTableCapacity(layout, shared_mem_bytes);
   if (!metadata.wide_key && shared_cap > 0 &&
       static_cast<double>(metadata.estimated_groups) <=
           static_cast<double>(shared_cap) * options_.shared_table_max_fill) {

@@ -44,9 +44,11 @@ class GpuModerator {
   //   few groups (fits shared memory, narrow key)        -> kernel 2
   //   many aggregates OR low rows/groups contention      -> kernel 3
   //   otherwise                                          -> kernel 1
+  // `shared_mem_bytes` is the carve-out a kernel-2 launch works in
+  // (Kernel2SharedMemBytes).
   gpusim::GroupByKernelKind ChooseKernel(
       const QueryMetadata& metadata, const HashTableLayout& layout,
-      uint64_t usable_shared_mem) const;
+      uint64_t shared_mem_bytes) const;
 
  private:
   ModeratorOptions options_;

@@ -1,7 +1,6 @@
 #include "harness/runner.h"
 
-#include "common/annotations.h"
-#include "common/thread.h"
+#include <algorithm>
 
 namespace blusim::harness {
 
@@ -43,59 +42,6 @@ Result<std::vector<QueryRunResult>> RunSerial(
     results.push_back(std::move(r));
   }
   return results;
-}
-
-Result<std::vector<QueryRunResult>> RunConcurrentStreams(
-    core::Engine* engine, const std::vector<workload::WorkloadQuery>& queries,
-    const ConcurrentRunOptions& options) {
-  const int streams = std::max(1, options.streams);
-  const int reps = std::max(1, options.reps);
-
-  // Shared across the stream threads; every access goes through `mu`.
-  struct StreamState {
-    common::Mutex mu{"harness.RunConcurrentStreams.state_mu",
-                     common::LockRank::kServe};
-    std::vector<QueryRunResult> results GUARDED_BY(mu);
-    Status first_error GUARDED_BY(mu);
-  } state;
-
-  auto stream_fn = [&]() {
-    for (int rep = 0; rep < reps; ++rep) {
-      for (const workload::WorkloadQuery& wq : queries) {
-        {
-          common::MutexLock lock(&state.mu);
-          if (!state.first_error.ok()) return;
-        }
-        auto qr = engine->Execute(wq.spec);
-        common::MutexLock lock(&state.mu);
-        if (!qr.ok()) {
-          if (state.first_error.ok()) {
-            state.first_error = Status(qr.status().code(),
-                                       "query '" + wq.spec.name + "': " +
-                                           qr.status().message());
-          }
-          return;
-        }
-        QueryRunResult r;
-        r.name = wq.spec.name;
-        r.qclass = wq.qclass;
-        r.elapsed = qr->profile.total_elapsed;
-        r.gpu_used = qr->profile.gpu_used;
-        r.profile = std::move(qr->profile);
-        state.results.push_back(std::move(r));
-      }
-    }
-  };
-
-  std::vector<common::Thread> threads;
-  threads.reserve(static_cast<size_t>(streams - 1));
-  for (int s = 1; s < streams; ++s) threads.emplace_back(stream_fn);
-  stream_fn();
-  common::JoinAll(&threads);
-
-  common::MutexLock lock(&state.mu);
-  BLUSIM_RETURN_NOT_OK(state.first_error);
-  return std::move(state.results);
 }
 
 SimTime TotalElapsed(const std::vector<QueryRunResult>& results) {

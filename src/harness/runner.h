@@ -18,8 +18,10 @@ struct QueryRunResult {
   SimTime elapsed = 0;  // simulated microseconds (averaged over reps)
   core::QueryProfile profile;  // profile of the last repetition
   bool gpu_used = false;
-  // Served runs only (RunServedStreams): wall-clock submit-to-return time
-  // and the simulated admission-queue wait charged into the profile.
+  // Served runs only (RunServedAsync): the submitting tenant, wall-clock
+  // submit-to-resolve time and the admission-queue wait charged into the
+  // profile.
+  std::string tenant;
   int64_t wall_e2e_us = 0;
   SimTime admission_wait_us = 0;
 };
@@ -41,21 +43,6 @@ std::unique_ptr<core::Engine> MakeEngine(const workload::Database& db,
 Result<std::vector<QueryRunResult>> RunSerial(
     core::Engine* engine, const std::vector<workload::WorkloadQuery>& queries,
     const SerialRunOptions& options);
-
-struct ConcurrentRunOptions {
-  // Concurrent client streams, each running the whole query list `reps`
-  // times. Streams contend for device memory, so with a small device this
-  // is what makes reservation waits actually happen.
-  int streams = 4;
-  int reps = 1;
-};
-
-// Runs `streams` threads through the query list concurrently against one
-// engine and collects every execution's profile (trace included). Returns
-// one QueryRunResult per executed query instance, in completion order.
-Result<std::vector<QueryRunResult>> RunConcurrentStreams(
-    core::Engine* engine, const std::vector<workload::WorkloadQuery>& queries,
-    const ConcurrentRunOptions& options);
 
 // Sums elapsed times.
 SimTime TotalElapsed(const std::vector<QueryRunResult>& results);

@@ -1,15 +1,14 @@
 // Observability demo driver: runs a mixed CPU/GPU workload with several
-// concurrent client streams against a deliberately small single device (so
-// reservation waits actually happen), then exports the query traces and the
-// engine metrics.
+// concurrent closed-loop client streams against a deliberately small single
+// device (so reservation waits actually happen), then exports the query
+// traces and the engine metrics.
 //
 //   runner --trace-out t.json --metrics-out m.prom [--json-out m.json]
 //          [--streams 4] [--reps 2] [--rows 300000] [--device-mem-mb 16]
 //
-// Serving mode (--serve) routes the same streams through the admission-
-// controlled QueryService instead of raw engine threads, which turns on the
-// serving observability layer: SLO windows, the query flight recorder
-// (--flight-out, --sample-every) and the live monitor endpoint
+// The streams submit through the admission-controlled QueryService, which
+// turns on the serving observability layer: SLO windows, the query flight
+// recorder (--flight-out, --sample-every) and the live monitor endpoint
 // (--monitor-port; /metrics, /flight, /snapshot). --monitor-hold-ms keeps
 // the process alive after the run so scrapers can read the final state.
 //
@@ -55,7 +54,6 @@ struct Args {
   uint64_t device_mem_mb = 16;
   bool explain = true;
   bool fusion = true;
-  bool serve = false;
   int monitor_port = -1;     // >= 0 starts the monitor (0 = ephemeral)
   int64_t monitor_hold_ms = 0;
   uint64_t sample_every = 8;
@@ -67,11 +65,11 @@ void Usage(const char* prog) {
       "usage: %s [--trace-out PATH] [--metrics-out PATH] [--json-out PATH]\n"
       "          [--streams N] [--reps N] [--rows N] [--device-mem-mb N]\n"
       "          [--no-explain] [--no-fusion]\n"
-      "          [--serve] [--monitor-port N] [--monitor-hold-ms N]\n"
+      "          [--monitor-port N] [--monitor-hold-ms N]\n"
       "          [--flight-out PATH] [--sample-every N]\n"
       "\n"
-      "--monitor-port implies --serve. Monitor paths: /metrics (Prometheus\n"
-      "text), /flight (anomalous queries, JSON), /snapshot (metrics JSON).\n",
+      "Monitor paths: /metrics (Prometheus text), /flight (anomalous\n"
+      "queries, JSON), /snapshot (metrics JSON).\n",
       prog);
 }
 
@@ -108,12 +106,9 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       args->explain = false;
     } else if (flag == "--no-fusion") {
       args->fusion = false;
-    } else if (flag == "--serve") {
-      args->serve = true;
     } else if (flag == "--monitor-port") {
       if (!next(&value)) return false;
       args->monitor_port = std::atoi(value.c_str());
-      args->serve = true;
     } else if (flag == "--monitor-hold-ms") {
       if (!next(&value)) return false;
       args->monitor_hold_ms = std::atoll(value.c_str());
@@ -181,19 +176,21 @@ int main(int argc, char** argv) {
     queries.push_back(simple[i]);
   }
 
-  std::unique_ptr<serve::QueryService> service;
+  // Each query may budget one whole device and the whole pinned pool, so
+  // the heavy group-bys contend for reservations instead of degrading by
+  // budget.
+  serve::ServiceOptions sopts;
+  sopts.flight.sample_every = args.sample_every;
+  sopts.device_budget_bytes = config.device_spec.device_memory_bytes;
+  sopts.pinned_budget_bytes = config.pinned_pool_bytes;
+  serve::QueryService service(engine.get(), sopts);
   std::unique_ptr<obs::MonitorServer> monitor;
-  if (args.serve) {
-    serve::ServiceOptions sopts;
-    sopts.flight.sample_every = args.sample_every;
-    service = std::make_unique<serve::QueryService>(engine.get(), sopts);
-  }
   if (args.monitor_port >= 0) {
     obs::MonitorOptions mopts;
     mopts.port = args.monitor_port;
     monitor = std::make_unique<obs::MonitorServer>(mopts);
     monitor->AttachMetrics(&engine->metrics());
-    serve::QueryService* svc = service.get();
+    serve::QueryService* svc = &service;
     core::Engine* eng = engine.get();
     monitor->AddHandler("/metrics", [svc, eng](std::string* content_type) {
       *content_type = "text/plain; version=0.0.4";
@@ -223,52 +220,33 @@ int main(int argc, char** argv) {
     std::fflush(stdout);
   }
 
-  std::vector<harness::QueryRunResult> results;
-  if (args.serve) {
-    harness::ServedRunOptions run_options;
-    run_options.streams = args.streams;
-    run_options.reps = args.reps;
-    auto served =
-        harness::RunServedStreams(service.get(), queries, run_options);
-    if (!served.ok()) {
-      std::fprintf(stderr, "serve run failed: %s\n",
-                   served.status().message().c_str());
-      return 1;
-    }
-    results = std::move(served->results);
-    const serve::ServiceStats stats = service->stats();
-    std::printf(
-        "%zu served queries (%d streams x %d reps x %zu queries): "
-        "%llu submitted, %llu shed, %llu degraded, %llu failed, "
-        "wall %.1f ms\n",
-        results.size(), run_options.streams, run_options.reps,
-        queries.size(), static_cast<unsigned long long>(stats.submitted),
-        static_cast<unsigned long long>(stats.shed),
-        static_cast<unsigned long long>(stats.degraded),
-        static_cast<unsigned long long>(stats.failed),
-        static_cast<double>(served->wall_us) / 1000.0);
-    const obs::FlightRecorder& flight = service->flight_recorder();
-    std::printf("flight recorder: %zu records (%zu pinned, ~%zu KiB, "
-                "%llu evictions)\n",
-                flight.size(), flight.pinned_count(),
-                flight.approx_bytes() >> 10,
-                static_cast<unsigned long long>(flight.evictions()));
-  } else {
-    harness::ConcurrentRunOptions run_options;
-    run_options.streams = args.streams;
-    run_options.reps = args.reps;
-    auto concurrent =
-        harness::RunConcurrentStreams(engine.get(), queries, run_options);
-    if (!concurrent.ok()) {
-      std::fprintf(stderr, "run failed: %s\n",
-                   concurrent.status().message().c_str());
-      return 1;
-    }
-    results = std::move(*concurrent);
-    std::printf("%zu query executions (%d streams x %d reps x %zu queries)\n",
-                results.size(), run_options.streams, run_options.reps,
-                queries.size());
+  harness::AsyncRunOptions run_options;
+  run_options.tenants = args.streams;
+  run_options.reps = args.reps;
+  auto served = harness::RunServedAsync(&service, queries, run_options);
+  if (!served.ok()) {
+    std::fprintf(stderr, "serve run failed: %s\n",
+                 served.status().message().c_str());
+    return 1;
   }
+  const std::vector<harness::QueryRunResult>& results = served->results;
+  const serve::ServiceStats stats = service.stats();
+  std::printf(
+      "%zu served queries (%d streams x %d reps x %zu queries): "
+      "%llu submitted, %llu shed, %llu degraded, %llu failed, "
+      "wall %.1f ms\n",
+      results.size(), run_options.tenants, run_options.reps, queries.size(),
+      static_cast<unsigned long long>(stats.submitted),
+      static_cast<unsigned long long>(stats.shed),
+      static_cast<unsigned long long>(stats.degraded),
+      static_cast<unsigned long long>(stats.failed),
+      static_cast<double>(served->wall_us) / 1000.0);
+  const obs::FlightRecorder& flight = service.flight_recorder();
+  std::printf("flight recorder: %zu records (%zu pinned, ~%zu KiB, "
+              "%llu evictions)\n",
+              flight.size(), flight.pinned_count(),
+              flight.approx_bytes() >> 10,
+              static_cast<unsigned long long>(flight.evictions()));
   int gpu_runs = 0;
   for (const auto& r : results) gpu_runs += r.gpu_used ? 1 : 0;
   std::printf("GPU used in %d executions\n", gpu_runs);
@@ -310,15 +288,10 @@ int main(int argc, char** argv) {
 
   harness::SyncDeviceMetrics(engine.get());
   if (!args.metrics_out.empty()) {
-    // Serving mode merges the SLO window gauges into the snapshot -- the
-    // same body the /metrics endpoint serves.
-    const bool ok =
-        args.serve
-            ? WriteStringToFile(
-                  obs::RenderPrometheusText(service->CollectSamples()),
-                  args.metrics_out)
-            : obs::WritePrometheusText(engine->metrics(), args.metrics_out);
-    if (!ok) {
+    // The snapshot merges the SLO window gauges into the engine metrics --
+    // the same body the /metrics endpoint serves.
+    if (!WriteStringToFile(obs::RenderPrometheusText(service.CollectSamples()),
+                           args.metrics_out)) {
       std::fprintf(stderr, "cannot write %s\n", args.metrics_out.c_str());
       return 1;
     }
@@ -327,24 +300,15 @@ int main(int argc, char** argv) {
                 args.metrics_out.c_str());
   }
   if (!args.json_out.empty()) {
-    const bool ok =
-        args.serve
-            ? WriteStringToFile(
-                  obs::RenderMetricsJson(service->CollectSamples()),
-                  args.json_out)
-            : obs::WriteMetricsJson(engine->metrics(), args.json_out);
-    if (!ok) {
+    if (!WriteStringToFile(obs::RenderMetricsJson(service.CollectSamples()),
+                           args.json_out)) {
       std::fprintf(stderr, "cannot write %s\n", args.json_out.c_str());
       return 1;
     }
     std::printf("JSON metrics -> %s\n", args.json_out.c_str());
   }
   if (!args.flight_out.empty()) {
-    if (service == nullptr) {
-      std::fprintf(stderr, "--flight-out requires --serve\n");
-      return 2;
-    }
-    if (!service->flight_recorder().DumpChromeTrace(args.flight_out)) {
+    if (!service.flight_recorder().DumpChromeTrace(args.flight_out)) {
       std::fprintf(stderr, "cannot write %s\n", args.flight_out.c_str());
       return 1;
     }

@@ -5,92 +5,13 @@
 #include <condition_variable>
 #include <cstdio>
 #include <deque>
+#include <limits>
+#include <map>
 
 #include "common/annotations.h"
 #include "common/thread.h"
 
 namespace blusim::harness {
-
-Result<ServedRunResult> RunServedStreams(
-    serve::QueryService* service,
-    const std::vector<workload::WorkloadQuery>& queries,
-    const ServedRunOptions& options) {
-  const int streams = std::max(1, options.streams);
-  const int reps = std::max(1, options.reps);
-
-  struct StreamState {
-    common::Mutex mu{"harness.RunServedStreams.state_mu",
-                     common::LockRank::kServe};
-    ServedRunResult run GUARDED_BY(mu);
-    Status first_error GUARDED_BY(mu);
-  } state;
-
-  auto stream_fn = [&](int stream_index) {
-    // Each stream submits under its own tenant label so the SLO windows
-    // and the flight recorder can attribute load per client.
-    const std::string tenant = "stream-" + std::to_string(stream_index);
-    for (int rep = 0; rep < reps; ++rep) {
-      for (const workload::WorkloadQuery& wq : queries) {
-        {
-          common::MutexLock lock(&state.mu);
-          if (!state.first_error.ok()) return;
-          ++state.run.submitted;
-        }
-        const auto submit_start = std::chrono::steady_clock::now();
-        auto qr = service->Submit(wq.spec, tenant);
-        const int64_t wall_e2e_us =
-            std::chrono::duration_cast<std::chrono::microseconds>(
-                std::chrono::steady_clock::now() - submit_start)
-                .count();
-        common::MutexLock lock(&state.mu);
-        if (!qr.ok()) {
-          if (qr.status().code() == StatusCode::kOverloaded) {
-            // Load shedding is the admission policy working, not a
-            // failure; the client moves on to its next query.
-            ++state.run.shed;
-            continue;
-          }
-          if (state.first_error.ok()) {
-            state.first_error = Status(qr.status().code(),
-                                       "query '" + wq.spec.name + "': " +
-                                           qr.status().message());
-          }
-          return;
-        }
-        if (qr->profile.degraded) ++state.run.degraded;
-        QueryRunResult r;
-        r.name = wq.spec.name;
-        r.qclass = wq.qclass;
-        r.elapsed = qr->profile.total_elapsed;
-        r.gpu_used = qr->profile.gpu_used;
-        r.wall_e2e_us = wall_e2e_us;
-        for (const core::PhaseRecord& phase : qr->profile.phases) {
-          if (phase.label == "admission-wait") {
-            r.admission_wait_us = phase.cpu_work;
-            break;
-          }
-        }
-        r.profile = std::move(qr->profile);
-        state.run.results.push_back(std::move(r));
-      }
-    }
-  };
-
-  const auto start = std::chrono::steady_clock::now();
-  std::vector<common::Thread> threads;
-  threads.reserve(static_cast<size_t>(streams - 1));
-  for (int s = 1; s < streams; ++s) threads.emplace_back(stream_fn, s);
-  stream_fn(0);
-  common::JoinAll(&threads);
-  const auto end = std::chrono::steady_clock::now();
-
-  common::MutexLock lock(&state.mu);
-  BLUSIM_RETURN_NOT_OK(state.first_error);
-  state.run.wall_us =
-      std::chrono::duration_cast<std::chrono::microseconds>(end - start)
-          .count();
-  return std::move(state.run);
-}
 
 std::string AsyncTenantName(int index) {
   char buf[16];
@@ -122,21 +43,26 @@ Result<AsyncRunResult> RunServedAsync(
   if (queries.empty()) {
     return Status::InvalidArgument("RunServedAsync: empty query pool");
   }
+  if (options.reps <= 0 && options.target_completions == 0) {
+    return Status::InvalidArgument(
+        "RunServedAsync: neither reps nor target_completions ends the run");
+  }
   const int tenants = std::max(1, options.tenants);
   const int in_flight = std::max(tenants, options.in_flight);
   const int slots_per_tenant = in_flight / tenants;
+  const uint64_t per_tenant_limit =
+      options.reps > 0
+          ? static_cast<uint64_t>(options.reps) * queries.size()
+          : std::numeric_limits<uint64_t>::max();
 
   // One resolved submission, posted by the completion callback (which
   // runs on a service executor, no service locks held) and drained by the
   // single client thread below.
   struct Done {
     int tenant = 0;
-    bool ok = false;
     bool shed = false;
-    bool degraded = false;
-    int64_t e2e_us = 0;
-    int64_t wait_us = 0;
     Status error;
+    QueryRunResult result;
   };
   struct EventQueue {
     common::Mutex mu{"harness.RunServedAsync.events_mu",
@@ -150,42 +76,50 @@ Result<AsyncRunResult> RunServedAsync(
   uint64_t outstanding = 0;
 
   auto submit_one = [&](int tenant_idx) {
-    const size_t qi =
-        next_query[static_cast<size_t>(tenant_idx)]++ % queries.size();
+    uint64_t& next = next_query[static_cast<size_t>(tenant_idx)];
+    if (next >= per_tenant_limit) return;
+    const workload::WorkloadQuery& wq = queries[next++ % queries.size()];
     serve::SubmitOptions sopts;
     if (tenant_idx < options.deadline_tenants && options.deadline_us > 0) {
       sopts.deadline_us = options.deadline_us;
     }
+    std::string tenant = AsyncTenantName(tenant_idx);
     const auto submitted_at = std::chrono::steady_clock::now();
-    sopts.on_complete = [&eq, tenant_idx, submitted_at](
+    sopts.on_complete = [&eq, &wq, tenant_idx, tenant, submitted_at](
                             const Result<core::QueryResult>& r) {
       Done d;
       d.tenant = tenant_idx;
-      d.e2e_us = std::chrono::duration_cast<std::chrono::microseconds>(
-                     std::chrono::steady_clock::now() - submitted_at)
-                     .count();
       if (r.ok()) {
-        d.ok = true;
-        d.degraded = r->profile.degraded;
-        for (const core::PhaseRecord& phase : r->profile.phases) {
+        QueryRunResult& q = d.result;
+        q.name = wq.spec.name;
+        q.qclass = wq.qclass;
+        q.tenant = tenant;
+        q.wall_e2e_us =
+            std::chrono::duration_cast<std::chrono::microseconds>(
+                std::chrono::steady_clock::now() - submitted_at)
+                .count();
+        q.profile = r->profile;
+        q.elapsed = q.profile.total_elapsed;
+        q.gpu_used = q.profile.gpu_used;
+        for (const core::PhaseRecord& phase : q.profile.phases) {
           if (phase.label == "admission-wait") {
-            d.wait_us = static_cast<int64_t>(phase.cpu_work);
+            q.admission_wait_us = phase.cpu_work;
             break;
           }
         }
       } else if (r.status().code() == StatusCode::kOverloaded) {
         d.shed = true;
       } else {
-        d.error = r.status();
+        d.error = Status(r.status().code(), "query '" + wq.spec.name +
+                                                "': " + r.status().message());
       }
-      {
-        common::MutexLock lock(&eq.mu);
-        eq.events.push_back(std::move(d));
-      }
+      common::MutexLock lock(&eq.mu);
+      eq.events.push_back(std::move(d));
+      // Notified under the lock: once it is released, the client thread
+      // may drain its last event and destroy `eq`.
       eq.cv.notify_one();
     };
-    service->SubmitAsync(queries[qi].spec, AsyncTenantName(tenant_idx),
-                         std::move(sopts));
+    service->SubmitAsync(wq.spec, tenant, std::move(sopts));
     ++outstanding;
     ++run.submitted;
   };
@@ -198,6 +132,8 @@ Result<AsyncRunResult> RunServedAsync(
   }
 
   std::vector<serve::TenantStats> snapshot;
+  Status first_error;
+  uint64_t failed = 0;
   bool refill = true;
   while (outstanding > 0) {
     Done d;
@@ -209,18 +145,18 @@ Result<AsyncRunResult> RunServedAsync(
       eq.events.pop_front();
     }
     --outstanding;
-    if (d.ok) {
-      ++run.completed;
-      if (d.degraded) ++run.degraded;
-      run.e2e_us.push_back(d.e2e_us);
-      run.wait_us.push_back(d.wait_us);
+    if (!d.error.ok()) {
+      ++failed;
+      if (first_error.ok()) first_error = std::move(d.error);
+      refill = false;
     } else if (d.shed) {
       ++run.shed;
     } else {
-      ++run.failed;
-      if (run.first_error.ok()) run.first_error = d.error;
+      if (d.result.profile.degraded) ++run.degraded;
+      run.results.push_back(std::move(d.result));
     }
-    if (refill && run.completed >= options.target_completions) {
+    if (refill && options.target_completions > 0 &&
+        run.results.size() >= options.target_completions) {
       // Fairness basis: every tenant still holds its full window here, so
       // achieved admission shares reflect the scheduler, not the drain.
       refill = false;
@@ -235,6 +171,12 @@ Result<AsyncRunResult> RunServedAsync(
   run.wall_us = std::chrono::duration_cast<std::chrono::microseconds>(
                     std::chrono::steady_clock::now() - start)
                     .count();
+  if (!first_error.ok()) {
+    return Status(first_error.code(),
+                  first_error.message() + " (" + std::to_string(failed) +
+                      " of " + std::to_string(run.submitted) +
+                      " submissions failed)");
+  }
   if (snapshot.empty()) snapshot = service->tenant_stats();
 
   const serve::ServiceStats sstats = service->stats();

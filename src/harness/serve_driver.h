@@ -10,51 +10,30 @@
 
 namespace blusim::harness {
 
-// Closed-loop multi-stream driver against a QueryService: each stream
-// submits the next query the moment the previous one returns, modeling the
-// paper's figure-8 multi-user experiment with admission control in front.
-struct ServedRunOptions {
-  int streams = 7;
-  int reps = 1;
-};
-
-struct ServedRunResult {
-  // Completed queries, in completion order.
-  std::vector<QueryRunResult> results;
-  uint64_t submitted = 0;
-  uint64_t shed = 0;      // rejected by admission control (kOverloaded)
-  uint64_t degraded = 0;  // completed with a GPU phase degraded to CPU
-  int64_t wall_us = 0;    // wall-clock time for the whole run
-};
-
-// Runs `streams` closed-loop clients through the query list `reps` times.
-// Shed submissions are counted, not retried, and are not errors; any other
-// query failure aborts the run with that status.
-Result<ServedRunResult> RunServedStreams(
-    serve::QueryService* service,
-    const std::vector<workload::WorkloadQuery>& queries,
-    const ServedRunOptions& options);
-
-// Open-arrival closed-loop driver over SubmitAsync: ONE client thread
-// keeps `in_flight` queries outstanding across `tenants` tenants (each
-// tenant holds in_flight/tenants slots; a completion callback refills the
-// same tenant's slot), so every tenant stays backlogged and the service's
-// weighted stride scheduler decides who runs. The multi-tenant analogue of
-// RunServedStreams for the paper's many-users-few-GPUs regime.
+// The real-thread driver over QueryService::SubmitAsync: ONE client thread
+// keeps `in_flight` queries outstanding across `tenants` tenants. Each
+// tenant holds in_flight/tenants slots, and a completion callback refills
+// the same tenant's slot, so the service's weighted stride scheduler
+// decides who runs. With one slot per tenant every tenant is a closed-loop
+// stream of the paper's figure-8 multi-user experiment: it submits its
+// next query only once the previous one has resolved.
 struct AsyncRunOptions {
-  int tenants = 100;
+  int tenants = 1;
   // Total outstanding submissions across all tenants (floored to one per
   // tenant). A single client thread sustains all of them.
-  int in_flight = 1000;
-  // Stop refilling once this many queries have completed (the fairness
-  // snapshot is taken at that instant, while every tenant is still
-  // backlogged), then drain. Must be reachable by the non-deadline
-  // tenants; 0 snapshots after the priming wave drains.
-  uint64_t target_completions = 2000;
+  int in_flight = 0;
+  // Each tenant walks the query list this many times, then stops
+  // submitting (0 = no per-tenant limit).
+  int reps = 1;
+  // Stop refilling once this many queries have completed, then drain. The
+  // fairness snapshot is taken at that instant, while every tenant is
+  // still backlogged. 0 = no target: the run ends when every tenant has
+  // walked its reps.
+  uint64_t target_completions = 0;
   // Per-tenant admission weights, cycled by tenant index (empty = 1.0).
   // Pass MakeAsyncTenantClasses(options) as ServiceOptions::tenant_classes
   // when building the service so the two sides agree.
-  std::vector<double> weights = {1.0, 2.0, 4.0};
+  std::vector<double> weights;
   // The first `deadline_tenants` tenants submit with this queue deadline
   // (microseconds; 0 = none): under saturation their tickets shed instead
   // of waiting, demonstrating deadline-bounded admission.
@@ -62,8 +41,8 @@ struct AsyncRunOptions {
   int64_t deadline_us = 0;
 };
 
-// Per-tenant outcome of an async run (final counts plus the admission
-// count captured at the fairness snapshot).
+// Per-tenant outcome of a run (final counts plus the admission count
+// captured at the fairness snapshot).
 struct AsyncTenantOutcome {
   std::string tenant;
   double weight = 1.0;
@@ -80,20 +59,18 @@ struct AsyncTenantOutcome {
 };
 
 struct AsyncRunResult {
+  // Completed queries in completion order, each with its profile; a
+  // tenant's completions arrive in its submission order when it holds one
+  // slot.
+  std::vector<QueryRunResult> results;
   uint64_t submitted = 0;
-  uint64_t completed = 0;
-  uint64_t shed = 0;
-  uint64_t degraded = 0;
-  uint64_t failed = 0;  // non-overload errors (first one in first_error)
-  Status first_error;
+  uint64_t shed = 0;      // rejected by admission control (kOverloaded)
+  uint64_t degraded = 0;  // completed with a GPU phase degraded to CPU
   int64_t wall_us = 0;            // start -> full drain
   int64_t wall_to_target_us = 0;  // start -> target_completions reached
   int peak_inflight = 0;          // service-side high-water mark
   uint64_t wakeups = 0;           // service-side admission notifications
   uint64_t total_admitted_at_snapshot = 0;
-  // Wall-clock submit-to-resolve and admission-wait, completed queries.
-  std::vector<int64_t> e2e_us;
-  std::vector<int64_t> wait_us;
   std::vector<AsyncTenantOutcome> tenants;
 };
 
@@ -106,9 +83,10 @@ std::string AsyncTenantName(int index);
 std::vector<serve::TenantClassSpec> MakeAsyncTenantClasses(
     const AsyncRunOptions& options);
 
-// Runs the open-arrival loop. Queries are drawn round-robin per tenant
-// from `queries`. Sheds are policy, not errors; a non-overload failure is
-// counted (and reported in first_error) but does not abort the drain.
+// Runs the loop. Each tenant draws queries round-robin from `queries`.
+// Sheds are policy, not errors: they are counted and the slot is refilled.
+// A non-overload failure stops all refilling; the driver drains what is
+// outstanding and returns the first failure, prefixed with its query name.
 Result<AsyncRunResult> RunServedAsync(
     serve::QueryService* service,
     const std::vector<workload::WorkloadQuery>& queries,

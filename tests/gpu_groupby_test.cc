@@ -138,6 +138,33 @@ TEST_F(GpuGroupByTest, Kernel2SharedMemPath) {
   EXPECT_EQ(stats.kernel_used, GroupByKernelKind::kSharedMem);
 }
 
+// Kernel 2 works in a fixed 48 KB carve-out on every launch, so the kernel
+// a query gets does not depend on which group-bys ran on the device before
+// it: an 800-group query is kernel 2 on a fresh device too.
+TEST_F(GpuGroupByTest, KernelChoiceIndependentOfDeviceHistory) {
+  GroupBySpec spec;
+  spec.key_columns = {0};
+  spec.aggregates = {{AggFn::kSum, 2, "sum_v"}};
+  auto kernel_for = [&](const Table& table) {
+    GpuGroupByStats stats;
+    auto plan = GroupByPlan::Make(table, spec);
+    if (!plan.ok()) {
+      ADD_FAILURE() << plan.status().ToString();
+      return stats.kernel_used;
+    }
+    auto out = GpuGroupBy::Execute(plan.value(), &device_, &pinned_, &pool_,
+                                   &moderator_, nullptr, {}, &stats);
+    EXPECT_TRUE(out.ok()) << out.status().ToString();
+    return stats.kernel_used;
+  };
+  auto many = MakeTable(200000, 800, 11);
+  auto few = MakeTable(200000, 12, 12);
+  const GroupByKernelKind fresh = kernel_for(*many);
+  kernel_for(*few);
+  EXPECT_EQ(kernel_for(*many), fresh);
+  EXPECT_EQ(fresh, GroupByKernelKind::kSharedMem);
+}
+
 TEST_F(GpuGroupByTest, Kernel3ManyAggregates) {
   auto t = MakeTable(40000, 3000, 3);
   GpuGroupByStats stats;

@@ -1,10 +1,11 @@
-// Tests for the harness: serial runner determinism, report formatting and
-// the CSV writer.
+// Tests for the harness: serial runner determinism, the served driver's
+// closed loop and error propagation, report formatting and the CSV writer.
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
+#include <map>
 
 #include "harness/monitor_report.h"
 #include "harness/report.h"
@@ -62,26 +63,10 @@ TEST(SerialRunnerTest, UnknownTablePropagatesQueryName) {
   EXPECT_NE(r.status().message().find("ghost"), std::string::npos);
 }
 
-// Regression tests for the [[nodiscard]] sweep (docs/static_analysis.md
-// §5): a query failure inside a worker stream must surface as the run's
-// returned Status, not vanish into a per-thread lambda. These pin the
-// first_error plumbing in runner.cc and serve_driver.cc.
-
-TEST(ConcurrentRunnerTest, StreamErrorPropagatesOutOfWorkerThreads) {
-  core::EngineConfig config;
-  config.cpu_threads = 2;
-  core::Engine engine(config);  // no tables registered
-  workload::WorkloadQuery wq;
-  wq.spec.name = "ghost-concurrent";
-  wq.spec.fact_table = "missing";
-  ConcurrentRunOptions options;
-  options.streams = 3;
-  auto r = RunConcurrentStreams(&engine, {wq}, options);
-  ASSERT_FALSE(r.ok());
-  EXPECT_NE(r.status().message().find("ghost-concurrent"),
-            std::string::npos);
-}
-
+// Regression test for the [[nodiscard]] sweep (docs/static_analysis.md
+// §5): a query failure resolved on a service executor must surface as the
+// run's returned Status, not vanish into a completion callback. Pins the
+// first-error plumbing in serve_driver.cc.
 TEST(ServeDriverTest, QueryFailurePropagatesAsRunError) {
   core::EngineConfig config;
   config.cpu_threads = 2;
@@ -92,15 +77,62 @@ TEST(ServeDriverTest, QueryFailurePropagatesAsRunError) {
   workload::WorkloadQuery wq;
   wq.spec.name = "ghost-served";
   wq.spec.fact_table = "missing";
-  ServedRunOptions options;
-  options.streams = 3;
-  auto r = RunServedStreams(&service, {wq}, options);
+  AsyncRunOptions options;
+  options.tenants = 3;
+  auto r = RunServedAsync(&service, {wq}, options);
   ASSERT_FALSE(r.ok());
   // Not shed: a real failure, attributed to the query by name.
   EXPECT_NE(r.status().code(), StatusCode::kOverloaded);
   EXPECT_NE(r.status().message().find("ghost-served"), std::string::npos);
   // The service counted it as failed, not completed.
   EXPECT_GE(service.stats().failed, 1u);
+  EXPECT_EQ(service.stats().completed, 0u);
+}
+
+// Closed loop: each tenant holds one slot and walks the query list `reps`
+// times, so it submits its next query only after the previous one
+// resolved and its completions arrive in query-list order.
+TEST(ServeDriverTest, ClosedLoopStreamsWalkQueryListInOrder) {
+  workload::ScaleConfig scale;
+  scale.store_sales_rows = 15000;
+  scale.customers = 1500;
+  scale.items = 300;
+  auto db = workload::GenerateDatabase(scale);
+  ASSERT_TRUE(db.ok());
+  core::EngineConfig config;
+  config.cpu_threads = 2;
+  config.device_spec = config.device_spec.WithMemory(8ULL << 20);
+  config.thresholds.t1_min_rows = 4000;
+  auto engine = MakeEngine(*db, config);
+  serve::ServiceOptions sopts;
+  sopts.max_concurrent = 2;
+  serve::QueryService service(engine.get(), sopts);
+
+  const auto queries = workload::FilterByClass(
+      workload::MakeBdiQueries(*db), workload::QueryClass::kComplex);
+  ASSERT_FALSE(queries.empty());
+  AsyncRunOptions options;
+  options.tenants = 3;
+  options.reps = 2;
+  auto r = RunServedAsync(&service, queries, options);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  const size_t per_tenant = 2 * queries.size();
+  EXPECT_EQ(r->submitted, 3 * per_tenant);
+  EXPECT_EQ(r->shed, 0u);
+  ASSERT_EQ(r->results.size(), 3 * per_tenant);
+
+  std::map<std::string, std::vector<std::string>> by_tenant;
+  for (const QueryRunResult& q : r->results) {
+    by_tenant[q.tenant].push_back(q.name);
+  }
+  ASSERT_EQ(by_tenant.size(), 3u);
+  for (const auto& [tenant, names] : by_tenant) {
+    ASSERT_EQ(names.size(), per_tenant) << tenant;
+    for (size_t i = 0; i < names.size(); ++i) {
+      EXPECT_EQ(names[i], queries[i % queries.size()].spec.name)
+          << tenant << " completion " << i;
+    }
+  }
 }
 
 TEST(ReportTest, Formatters) {

@@ -116,7 +116,7 @@ TEST_F(ModeratorTest, CandidatesAlwaysContainRegular) {
   GpuModerator mod;
   for (uint64_t groups : {2ULL, 1000ULL, 100000ULL}) {
     EXPECT_EQ(mod.ChooseKernel(Meta(2000000, groups, 3), *layout_,
-                               /*usable_shared_mem=*/0),
+                               /*shared_mem_bytes=*/0),
               GroupByKernelKind::kRegular)
         << groups << " groups";
   }

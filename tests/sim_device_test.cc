@@ -1,5 +1,5 @@
-// Tests for SimDevice: transfers, shared-memory configuration, job
-// tracking, memory sampling — plus scheduler-driven multi-GPU sorting.
+// Tests for SimDevice: transfers, job tracking, memory sampling — plus
+// scheduler-driven multi-GPU sorting.
 
 #include "gpusim/sim_device.h"
 
@@ -60,15 +60,6 @@ TEST_F(SimDeviceTest, UnpinnedTransfersSlower) {
   const SimTime unpinned =
       device_.CopyToDevice(src.data(), &buf.value(), 1 << 20, false);
   EXPECT_GT(unpinned, 3 * pinned);
-}
-
-TEST_F(SimDeviceTest, SharedMemConfig) {
-  device_.SetSharedMemConfig(gpusim::SharedMemConfig::kShared48L116);
-  EXPECT_EQ(device_.usable_shared_mem(), 48u << 10);
-  device_.SetSharedMemConfig(gpusim::SharedMemConfig::kShared16L148);
-  EXPECT_EQ(device_.usable_shared_mem(), 16u << 10);
-  device_.SetSharedMemConfig(gpusim::SharedMemConfig::kEqual32);
-  EXPECT_EQ(device_.usable_shared_mem(), 32u << 10);
 }
 
 TEST_F(SimDeviceTest, JobTracking) {
