@@ -151,11 +151,13 @@ Result<std::shared_ptr<Table>> MaterializeRows(
 
 Engine::Engine(EngineConfig config)
     : config_(config),
+      fusion_(config.enable_fusion && config.groupby_options.allow_fusion),
       cost_(config.host, PrimarySpec(config)),
       checker_(std::make_unique<gpusim::DeviceChecker>(
           config.check_device < 0 ? gpusim::DeviceChecker::EnabledByDefault()
                                   : config.check_device != 0)),
       devices_(MakeDevices(config)),
+      min_device_memory_(MinDeviceMemory(devices_)),
       scheduler_(DevicePointers(devices_), &metrics_),
       pinned_(config.pinned_pool_bytes, &metrics_),
       pool_(config.cpu_threads, &metrics_) {
@@ -296,8 +298,8 @@ uint64_t Engine::EstimateGroups(const GroupByPlan& plan,
 }
 
 OptimizerEstimates Engine::SampleEstimates(
-    const GroupByPlan& plan, const Table& fact,
-    const std::vector<Predicate>& filters) const {
+    const GroupByPlan& plan, const std::vector<Predicate>& filters) const {
+  const Table& fact = plan.table();
   OptimizerEstimates est;
   const uint64_t n = fact.num_rows();
   if (n == 0) return est;
@@ -336,38 +338,22 @@ OptimizerEstimates Engine::SampleEstimates(
   return est;
 }
 
-Result<Engine::GroupByOutcome> Engine::RunGroupBy(
-    const QuerySpec& query, const Table& fact,
-    const std::vector<uint32_t>* selection, const ExecOptions& opts,
-    QueryProfile* profile, obs::TraceBuilder* trace) {
-  BLUSIM_ASSIGN_OR_RETURN(GroupByPlan plan,
-                          GroupByPlan::Make(fact, *query.groupby));
+bool Engine::DefersScan(const QuerySpec& query) const {
+  return fusion_ && !devices_.empty() && query.groupby.has_value() &&
+         query.joins.empty();
+}
 
-  // Deferred-scan mode (data-path fusion): the caller skipped FilterScan
-  // so the fused staging sweep can evaluate the predicates in-line with
-  // the pinned write. Paths that need explicit row ids (CPU chain,
-  // partitioned, SoA staging) materialize the selection here instead, and
-  // record the scan phase the caller skipped.
-  bool deferred = selection == nullptr;
-  std::vector<uint32_t> scanned_rows;
-  auto materialize_selection = [&]() -> Status {
-    if (!deferred) return Status::OK();
-    BLUSIM_ASSIGN_OR_RETURN(scanned_rows,
-                            ScanFact(query, fact, profile, trace));
-    selection = &scanned_rows;
-    deferred = false;
-    plan.set_stage_filter({});
-    return Status::OK();
-  };
-
-  OptimizerEstimates estimates;
+GroupByDecision Engine::PlanGroupBy(
+    const QuerySpec& query, const GroupByPlan& plan,
+    const std::vector<uint32_t>* selection) const {
+  GroupByDecision d;
+  const bool deferred = selection == nullptr;
   if (deferred) {
-    estimates = SampleEstimates(plan, fact, query.fact_filters);
+    d.estimates = SampleEstimates(plan, query.fact_filters);
   } else {
-    estimates.rows = selection->size();
-    estimates.groups = EstimateGroups(plan, *selection);
+    d.estimates.rows = selection->size();
+    d.estimates.groups = EstimateGroups(plan, *selection);
   }
-  trace->Annotate("kmv_estimate", std::to_string(estimates.groups));
 
   // Cap T3 by what actually fits on a device (inputs + table).
   RouterThresholds thresholds = config_.thresholds;
@@ -376,23 +362,23 @@ Result<Engine::GroupByOutcome> Engine::RunGroupBy(
         8 + 4 + plan.payload_bytes_per_row() + 8);
     thresholds.t3_max_rows =
         std::min<uint64_t>(thresholds.t3_max_rows,
-                           MinDeviceMemory(devices_) /
+                           min_device_memory_ /
                                std::max<uint64_t>(1, per_row));
   }
+  d.t3_max_rows = thresholds.t3_max_rows;
+  d.stage_mode = groupby::StageModeFor(plan, fusion_);
 
-  ExecutionPath path =
-      ChooseGroupByPath(estimates, thresholds, !devices_.empty());
-  if (path == ExecutionPath::kGpu && config_.enable_partitioned_gpu &&
+  d.path = ChooseGroupByPath(d.estimates, thresholds, !devices_.empty());
+  if (d.path == ExecutionPath::kGpu && config_.enable_partitioned_gpu &&
       !devices_.empty()) {
     // T2 < n < T3 upgrade: when the cost model predicts the concurrent
     // partitioned CPU+GPU execution beats both one device and the CPU
     // chain by >= 10%, shard the query instead of running it whole on one
     // device (docs/partitioned_execution.md).
     gpusim::PartitionedShape shape = groupby::PartitionedGroupBy::MakeShape(
-        plan, estimates.rows, estimates.groups, MinDeviceMemory(devices_),
-        static_cast<int>(devices_.size()),
-        config_.groupby_options.allow_fusion && config_.enable_fusion,
-        config_.query_dop, pool_.num_threads());
+        plan, d.estimates.rows, d.estimates.groups, min_device_memory_,
+        static_cast<int>(devices_.size()), d.stage_mode, config_.query_dop,
+        pool_.num_threads());
     if (shape.max_rows_per_chunk > 0) {
       const double frac =
           config_.partitioned_cpu_split >= 0.0
@@ -402,14 +388,39 @@ Result<Engine::GroupByOutcome> Engine::RunGroupBy(
       const SimTime t_single = cost_.SingleDeviceGroupByTime(shape);
       const SimTime t_cpu = static_cast<SimTime>(
           static_cast<double>(cost_.HostGroupByTime(
-              estimates.rows, estimates.groups,
+              d.estimates.rows, d.estimates.groups,
               static_cast<int>(plan.slots().size()), 1)) /
           cost_.HostParallelFactor(config_.query_dop));
       if (t_part * 100 < std::min(t_single, t_cpu) * 90) {
-        path = ExecutionPath::kPartitioned;
-        trace->Annotate("partitioned_upgrade", "modeled");
+        d.path = ExecutionPath::kPartitioned;
+        d.partitioned_upgrade = true;
       }
     }
+  }
+
+  const bool fused_device_run = d.path == ExecutionPath::kGpu &&
+                                d.stage_mode ==
+                                    groupby::StageMode::kFusedRecords;
+  d.scan_first = deferred && !fused_device_run;
+  if (d.path == ExecutionPath::kGpu) {
+    d.table_capacity = groupby::ChooseCapacity(d.estimates.groups);
+    d.reservation_bytes = groupby::GpuGroupBy::DeviceBytesNeeded(
+        plan, d.stage_mode, d.estimates.rows, d.table_capacity);
+  }
+  return d;
+}
+
+Result<Engine::GroupByOutcome> Engine::RunGroupBy(
+    const QuerySpec& query, const Table& fact,
+    const std::vector<uint32_t>* selection, const ExecOptions& opts,
+    QueryProfile* profile, obs::TraceBuilder* trace) {
+  BLUSIM_ASSIGN_OR_RETURN(GroupByPlan plan,
+                          GroupByPlan::Make(fact, *query.groupby));
+  const GroupByDecision decision = PlanGroupBy(query, plan, selection);
+  const ExecutionPath path = decision.path;
+  trace->Annotate("kmv_estimate", std::to_string(decision.estimates.groups));
+  if (decision.partitioned_upgrade) {
+    trace->Annotate("partitioned_upgrade", "modeled");
   }
   profile->groupby_path = path;
   trace->Annotate("groupby_path", ExecutionPathName(path));
@@ -419,20 +430,30 @@ Result<Engine::GroupByOutcome> Engine::RunGroupBy(
                   "Group-by routing decisions by figure-3 outcome")
       ->Add(1);
 
+  // A deferred scan the decision does not fold into a fused staging sweep
+  // runs here, once. The only other scan site is the CPU chain's, for a
+  // fused device run that fell back.
+  std::vector<uint32_t> scanned_rows;
+  if (decision.scan_first) {
+    BLUSIM_ASSIGN_OR_RETURN(scanned_rows,
+                            ScanFact(query, fact, profile, trace));
+    selection = &scanned_rows;
+  }
+
   GroupByOutcome outcome;
   outcome.path = path;
+  groupby::GpuGroupByOptions gopts = config_.groupby_options;
+  gopts.allow_fusion =
+      decision.stage_mode == groupby::StageMode::kFusedRecords;
+  gopts.estimated_groups = decision.estimates.groups;
 
   if (path == ExecutionPath::kPartitioned && config_.enable_partitioned_gpu) {
     // Concurrent hash-partitioned CPU+GPU execution (the mechanism of
     // section 2.2 plus the co-execution the paper left as future work):
-    // the partition sweep needs explicit row ids, so a deferred filter
-    // materializes first.
-    BLUSIM_RETURN_NOT_OK(materialize_selection());
+    // the partition sweep needs explicit row ids, so the decision scans a
+    // deferred filter first.
     groupby::PartitionedOptions popts;
-    popts.gpu = config_.groupby_options;
-    popts.gpu.allow_fusion = popts.gpu.allow_fusion && config_.enable_fusion;
-    popts.gpu.estimated_rows = estimates.rows;
-    popts.gpu.estimated_groups = estimates.groups;
+    popts.gpu = gopts;
     popts.wait = opts.wait;
     popts.cpu_split_fraction = config_.partitioned_cpu_split;
     popts.cpu_dop = config_.query_dop;
@@ -554,39 +575,18 @@ Result<Engine::GroupByOutcome> Engine::RunGroupBy(
   }
 
   if (path == ExecutionPath::kGpu) {
-    groupby::GpuGroupByOptions gopts = config_.groupby_options;
-    gopts.allow_fusion = gopts.allow_fusion && config_.enable_fusion;
-    gopts.estimated_rows = estimates.rows;
-    gopts.estimated_groups = estimates.groups;
-    if (deferred) plan.set_stage_filter(query.fact_filters);
-    groupby::StageMode mode = groupby::GpuGroupBy::ChooseStageMode(
-        plan, cost_, gopts,
-        deferred ? fact.num_rows() : selection->size(),
-        pool_.num_threads());
-    if (deferred && mode != groupby::StageMode::kFusedRecords) {
-      // Unfusable (wide key) or fusion not worth it for this shape: run
-      // the classic scan up front and stage SoA over the survivors.
-      BLUSIM_RETURN_NOT_OK(materialize_selection());
-      mode = groupby::GpuGroupBy::ChooseStageMode(
-          plan, cost_, gopts, selection->size(), pool_.num_threads());
-    }
-    const uint64_t capacity = groupby::ChooseCapacity(estimates.groups);
-    const uint64_t bytes_needed =
-        mode == groupby::StageMode::kFusedRecords
-            ? groupby::GpuGroupBy::FusedDeviceBytesNeeded(
-                  plan, estimates.rows, capacity)
-            : groupby::GpuGroupBy::DeviceBytesNeeded(plan, estimates.rows,
-                                                     capacity);
+    // A still-deferred scan folds its predicates into the fused sweep.
+    if (selection == nullptr) plan.set_stage_filter(query.fact_filters);
     // Per-query budgets (serving layer): a reservation beyond this query's
     // granted share of device or pinned memory degrades to the CPU chain
     // up front instead of competing for memory it was not allotted.
-    const bool over_budget = ExceedsBudget(bytes_needed, opts);
+    const bool over_budget = ExceedsBudget(decision.reservation_bytes, opts);
     SimTime waited = 0;
     auto device = over_budget
                       ? Result<gpusim::SimDevice*>(Status::CapacityExceeded(
                             "reservation exceeds the per-query budget"))
-                      : scheduler_.PickDeviceWithWait(bytes_needed, &waited,
-                                                      opts.wait);
+                      : scheduler_.PickDeviceWithWait(
+                            decision.reservation_bytes, &waited, opts.wait);
     if (waited > 0) {
       // A blocked agent holds its thread while polling for device memory,
       // so the wait is charged as a dop-1 phase (and shows up as a wait
@@ -669,7 +669,12 @@ Result<Engine::GroupByOutcome> Engine::RunGroupBy(
 
   // CPU chain (baseline figure-1 path; also the fallback and the
   // "partitioned" case, which the prototype runs on the CPU).
-  BLUSIM_RETURN_NOT_OK(materialize_selection());
+  if (selection == nullptr) {
+    // A fused device run fell back: its deferred scan runs now.
+    BLUSIM_ASSIGN_OR_RETURN(scanned_rows,
+                            ScanFact(query, fact, profile, trace));
+    selection = &scanned_rows;
+  }
   auto cpu_out = runtime::CpuGroupBy::Execute(plan, &pool_, selection);
   BLUSIM_RETURN_NOT_OK(cpu_out.status());
   trace->Annotate("actual_groups", std::to_string(cpu_out->num_groups));
@@ -712,14 +717,10 @@ Result<QueryResult> Engine::Execute(const QuerySpec& query,
   }
 
   // --- Scan + filter the fact table ---
-  // Data-path fusion defers this scan for GPU-eligible group-bys without
-  // joins: RunGroupBy folds the predicates into the fused staging sweep
-  // (or materializes the selection itself if it ends up off the fused
-  // path), so no row ids are built that the device never needs.
-  const bool defer_scan = config_.enable_fusion &&
-                          config_.groupby_options.allow_fusion &&
-                          !devices_.empty() && query.groupby.has_value() &&
-                          query.joins.empty();
+  // A deferred scan is RunGroupBy's: a fused device run folds the
+  // predicates into its staging sweep, so no row ids are built that the
+  // device never needs; every other path scans there, once.
+  const bool defer_scan = DefersScan(query);
   std::vector<uint32_t> selection;
   if (!defer_scan) {
     BLUSIM_ASSIGN_OR_RETURN(selection,
@@ -803,7 +804,7 @@ Result<QueryResult> Engine::Execute(const QuerySpec& query,
       ExecutionPath path = ChooseSortPath(
           base->num_rows(), sort_bytes, config_.thresholds,
           !devices_.empty(),
-          devices_.empty() ? 0 : MinDeviceMemory(devices_));
+          devices_.empty() ? 0 : min_device_memory_);
       if (path == ExecutionPath::kGpu && ExceedsBudget(sort_bytes, opts)) {
         // Per-query budget cap (serving layer): degrade to the CPU sort.
         path = ExecutionPath::kCpu;

@@ -98,6 +98,32 @@ struct ExecOptions {
   SimTime admission_wait = 0;
 };
 
+// The group-by routing decision for one query (figure 3's T1/T2/T3 tree
+// plus the partitioned upgrade and the staging plan). Engine::PlanGroupBy
+// makes it once from optimizer input; the executor carries it out and
+// never decides again.
+struct GroupByDecision {
+  // Full-pass KMV over the selection, or the sampled KMV when the fact
+  // scan is deferred.
+  OptimizerEstimates estimates;
+  // T3 after capping it by what fits the smallest device.
+  uint64_t t3_max_rows = 0;
+  ExecutionPath path = ExecutionPath::kCpu;
+  // The cost model moved a kGpu route to kPartitioned.
+  bool partitioned_upgrade = false;
+  // Device staging for the kGpu and kPartitioned paths (StageModeFor).
+  groupby::StageMode stage_mode = groupby::StageMode::kSoA;
+  // A deferred fact scan runs before the group-by: every path except a
+  // fused device run needs explicit row ids.
+  bool scan_first = false;
+  // kGpu only: the hash-table capacity and the device bytes the scheduler
+  // places and the per-query budgets check.
+  uint64_t table_capacity = 0;
+  uint64_t reservation_bytes = 0;
+
+  bool operator==(const GroupByDecision&) const = default;
+};
+
 // Materializes the given rows (in order) of `table` into a new table,
 // keeping only `projection` columns (empty = all).
 Result<std::shared_ptr<columnar::Table>> MaterializeRows(
@@ -150,6 +176,14 @@ class Engine {
   Result<QueryResult> Execute(const QuerySpec& query,
                               const ExecOptions& opts = ExecOptions());
 
+  // Plans `query`'s group-by over `plan` (built on the fact table).
+  // `selection` == nullptr means Execute deferred the fact scan
+  // (DefersScan). Pure: it reads the configuration and the fact table and
+  // calls no scheduler, device, pinned pool, metrics or trace.
+  GroupByDecision PlanGroupBy(const QuerySpec& query,
+                              const runtime::GroupByPlan& plan,
+                              const std::vector<uint32_t>* selection) const;
+
  private:
   struct GroupByOutcome {
     std::shared_ptr<columnar::Table> table;
@@ -167,13 +201,18 @@ class Engine {
   // ratio and a sampled-KMV distinct count, scaled up when the sampled
   // keys look near-unique (unbounded domain) and taken as-is otherwise.
   OptimizerEstimates SampleEstimates(
-      const runtime::GroupByPlan& plan, const columnar::Table& fact,
+      const runtime::GroupByPlan& plan,
       const std::vector<runtime::Predicate>& filters) const;
 
-  // `selection` == nullptr means the caller deferred the fact FilterScan
-  // (data-path fusion): the group-by either folds the predicates into the
-  // fused staging sweep, or materializes the selection itself (recording
-  // the scan phase) before any path that needs explicit row ids.
+  // Data-path fusion: a join-free group-by on a fusing GPU engine skips
+  // the fact FilterScan so a fused staging sweep can fold the predicates
+  // into the pinned write.
+  bool DefersScan(const QuerySpec& query) const;
+
+  // Executes the PlanGroupBy decision. `selection` == nullptr means the
+  // fact scan was deferred: the executor runs it first when the decision
+  // says so, and otherwise only when a fused device run falls back to the
+  // CPU chain.
   Result<GroupByOutcome> RunGroupBy(const QuerySpec& query,
                                     const columnar::Table& fact,
                                     const std::vector<uint32_t>* selection,
@@ -208,6 +247,9 @@ class Engine {
                              GroupByOutcome* outcome);
 
   EngineConfig config_;
+  // Fusion is on for this engine: enable_fusion and the group-by options'
+  // allow_fusion, evaluated once.
+  bool fusion_;
   gpusim::CostModel cost_;
   // Declared before the components so they can register instruments.
   obs::MetricsRegistry metrics_;
@@ -215,6 +257,9 @@ class Engine {
   // outlives every allocation it tracks.
   std::unique_ptr<gpusim::DeviceChecker> checker_;
   std::vector<std::unique_ptr<gpusim::SimDevice>> devices_;
+  // Smallest device memory in the fleet: bounds the T3 cap, partitioned
+  // chunk sizing and sort routing on heterogeneous fleets.
+  uint64_t min_device_memory_;
   sched::GpuScheduler scheduler_;
   gpusim::PinnedHostPool pinned_;
   runtime::ThreadPool pool_;

@@ -33,6 +33,8 @@ struct RouterThresholds {
 struct OptimizerEstimates {
   uint64_t rows = 0;
   uint64_t groups = 0;
+
+  bool operator==(const OptimizerEstimates&) const = default;
 };
 
 // Applies figure 3's decision tree. `gpu_available` false forces kCpu.

@@ -176,69 +176,19 @@ const char* KernelName(GroupByKernelKind kind, bool fused) {
 
 }  // namespace
 
-uint64_t GpuGroupBy::DeviceBytesNeeded(const GroupByPlan& plan, uint64_t rows,
+uint64_t GpuGroupBy::DeviceBytesNeeded(const GroupByPlan& plan,
+                                       StageMode mode, uint64_t rows,
                                        uint64_t capacity) {
   const HashTableLayout layout(plan);
-  return UnfusedStagedBytes(plan, rows) + layout.TableBytes(capacity);
-}
-
-uint64_t GpuGroupBy::FusedDeviceBytesNeeded(const GroupByPlan& plan,
-                                            uint64_t rows, uint64_t capacity) {
-  auto record_layout = FusedRecordLayout::Make(plan);
-  if (!record_layout.ok()) return DeviceBytesNeeded(plan, rows, capacity);
-  const HashTableLayout layout(plan);
-  return rows * static_cast<uint64_t>(record_layout.value().record_bytes) +
-         layout.TableBytes(capacity);
-}
-
-StageMode GpuGroupBy::ChooseStageMode(const GroupByPlan& plan,
-                                      const gpusim::CostModel& cost,
-                                      const GpuGroupByOptions& options,
-                                      uint64_t input_rows, int dop) {
-  if (!options.allow_fusion || plan.wide_key()) return StageMode::kSoA;
-  auto record_layout = FusedRecordLayout::Make(plan);
-  if (!record_layout.ok()) return StageMode::kSoA;
-
-  const uint64_t scanned = std::max<uint64_t>(input_rows, 1);
-  uint64_t staged_rows = options.estimated_rows > 0
-                             ? std::min(options.estimated_rows, scanned)
-                             : scanned;
-  staged_rows = std::max<uint64_t>(staged_rows, 1);
-  const int scan_bpr = StageScanBytesPerRow(plan);
-
-  GroupByKernelParams kp;
-  kp.rows = staged_rows;
-  kp.groups = std::max<uint64_t>(1, options.estimated_groups);
-  kp.num_aggregates = static_cast<int>(plan.slots().size());
-  kp.key_bytes = plan.key_bytes();
-  kp.payload_bytes = plan.payload_bytes_per_row();
-  for (const AggSlot& s : plan.slots()) {
-    if (s.lock_required) kp.lock_typed_payload = true;
+  uint64_t input_bytes = UnfusedStagedBytes(plan, rows);
+  if (mode == StageMode::kFusedRecords) {
+    auto record_layout = FusedRecordLayout::Make(plan);
+    if (record_layout.ok()) {
+      input_bytes =
+          rows * static_cast<uint64_t>(record_layout.value().record_bytes);
+    }
   }
-
-  // Fused pipeline: one host sweep, the compact record transfer, the fused
-  // kernel.
-  const uint64_t fused_bytes =
-      staged_rows * static_cast<uint64_t>(record_layout.value().record_bytes);
-  GroupByKernelParams fused_kp = kp;
-  fused_kp.record_bytes = record_layout.value().record_bytes;
-  const SimTime fused_total =
-      cost.HostFusedStageTime(scanned, scan_bpr, staged_rows, fused_bytes,
-                              dop) +
-      cost.TransferTime(fused_bytes, /*pinned=*/true) +
-      cost.FusedScanAggregateTime(GroupByKernelKind::kRegular, fused_kp);
-
-  // SoA pipeline: the predicate scan runs upstream (FilterScan), then key
-  // gen + MEMCPY over the survivors, the SoA transfer, the SoA kernel.
-  const uint64_t soa_bytes = UnfusedStagedBytes(plan, staged_rows);
-  const SimTime soa_total =
-      cost.HostScanTime(scanned, scan_bpr, dop) +
-      cost.HostKeyGenTime(staged_rows, dop) + cost.HostMemcpyTime(soa_bytes) +
-      cost.TransferTime(soa_bytes, /*pinned=*/true) +
-      cost.GroupByKernelTime(GroupByKernelKind::kRegular, kp);
-
-  return fused_total <= soa_total ? StageMode::kFusedRecords
-                                  : StageMode::kSoA;
+  return input_bytes + layout.TableBytes(capacity);
 }
 
 Result<GroupByOutput> GpuGroupBy::Execute(
@@ -276,13 +226,10 @@ Result<GpuGroupBy::RawOutput> GpuGroupBy::ExecuteToGroups(
 
   // --- Stage into pinned memory (MEMCPY evaluator / fused sweep) ---
   const int dop = thread_pool ? thread_pool->num_threads() : 1;
-  const uint64_t input_rows =
-      selection ? selection->size() : plan.table().num_rows();
-  const StageMode mode =
-      ChooseStageMode(plan, cost, options, input_rows, dop);
   BLUSIM_ASSIGN_OR_RETURN(
       StagedInput staged,
-      StageForDevice(plan, pinned_pool, thread_pool, selection, mode));
+      StageForDevice(plan, pinned_pool, thread_pool, selection,
+                     StageModeFor(plan, options.allow_fusion)));
   const uint64_t rows = staged.rows;
   stats->fused = staged.fused;
   stats->rows_scanned = staged.rows_scanned;

@@ -48,13 +48,14 @@ struct GpuGroupByStats {
 };
 
 struct GpuGroupByOptions {
-  // Data-path fusion: permit staging the input as interleaved records and
-  // running the fused scan->aggregate kernels. The per-query decision is
-  // cost-based (ChooseStageMode); this only gates eligibility
-  // (EngineConfig::enable_fusion / --no-fusion).
+  // Data-path fusion (EngineConfig::enable_fusion / --no-fusion): stage
+  // the input as interleaved records and run the fused scan->aggregate
+  // kernels whenever the key packs into <= 64 bits (StageModeFor); false
+  // stages SoA arrays for every key.
   bool allow_fusion = true;
-  // Optimizer estimates feeding the fused-vs-SoA cost comparison. 0 means
-  // unknown (assume every scanned row is staged / groups from KMV later).
+  // Optimizer estimates. Only the partitioned path reads one: it sizes its
+  // fan-out from estimated_groups (0 = sketch the selection itself). The
+  // single-device path sizes its table from the staging sweep's own KMV.
   uint64_t estimated_rows = 0;
   uint64_t estimated_groups = 0;
 };
@@ -89,26 +90,13 @@ class GpuGroupBy {
       const GpuGroupByOptions& options, GpuGroupByStats* stats);
 
   // Device bytes a group-by on `rows` input rows with `capacity` hash
-  // entries will reserve (inputs + table). Used by the scheduler to pick a
-  // device before committing (section 2.2: "we know the amount of memory
-  // that each kernel invocation call needs in advance").
+  // entries will reserve when staged in `mode` (inputs + table). Used by
+  // the scheduler to pick a device before committing (section 2.2: "we
+  // know the amount of memory that each kernel invocation call needs in
+  // advance"). A plan with no fused layout (wide key) is sized as SoA.
   static uint64_t DeviceBytesNeeded(const runtime::GroupByPlan& plan,
-                                    uint64_t rows, uint64_t capacity);
-
-  // Fused-staging variant: the compact record stream plus the table. Falls
-  // back to DeviceBytesNeeded when the plan is not fusable.
-  static uint64_t FusedDeviceBytesNeeded(const runtime::GroupByPlan& plan,
-                                         uint64_t rows, uint64_t capacity);
-
-  // Cost-based fused-vs-SoA staging decision for one query, comparing the
-  // modeled stage + transfer + kernel pipelines (the kernel term uses the
-  // regular kernel as the representative; the moderator still picks the
-  // actual kernel later). Returns kSoA whenever fusion is disabled or the
-  // plan has no fused layout (wide keys).
-  static StageMode ChooseStageMode(const runtime::GroupByPlan& plan,
-                                   const gpusim::CostModel& cost,
-                                   const GpuGroupByOptions& options,
-                                   uint64_t input_rows, int dop);
+                                    StageMode mode, uint64_t rows,
+                                    uint64_t capacity);
 };
 
 }  // namespace blusim::groupby

@@ -117,18 +117,16 @@ uint64_t PartitionedGroupBy::MaxRowsPerChunk(const GroupByPlan& plan,
   // reference row count. Fused records are denser than the SoA arrays, so
   // fused chunks pack more rows into the same budget.
   constexpr uint64_t kProbeRows = 4096;
-  const uint64_t with_table =
-      mode == StageMode::kFusedRecords
-          ? GpuGroupBy::FusedDeviceBytesNeeded(plan, kProbeRows, 64)
-          : GpuGroupBy::DeviceBytesNeeded(plan, kProbeRows, 64);
-  const uint64_t probe_total = with_table - layout.TableBytes(64);
+  const uint64_t probe_total =
+      GpuGroupBy::DeviceBytesNeeded(plan, mode, kProbeRows, 64) -
+      layout.TableBytes(64);
   const uint64_t per_row = std::max<uint64_t>(1, probe_total / kProbeRows);
   return (budget - table_bytes) / per_row;
 }
 
 gpusim::PartitionedShape PartitionedGroupBy::MakeShape(
     const GroupByPlan& plan, uint64_t rows, uint64_t groups,
-    uint64_t min_device_memory, int num_devices, bool allow_fusion,
+    uint64_t min_device_memory, int num_devices, StageMode mode,
     int cpu_dop, int stage_dop) {
   gpusim::PartitionedShape s;
   s.rows = rows;
@@ -137,15 +135,9 @@ gpusim::PartitionedShape PartitionedGroupBy::MakeShape(
   const HashTableLayout layout(plan);
   s.entry_bytes = static_cast<uint64_t>(layout.entry_bytes());
   s.key_bytes = layout.key_bytes();
-  s.fused = false;
-  s.record_bytes = 0;
-  if (allow_fusion) {
-    auto record_layout = FusedRecordLayout::Make(plan);
-    if (record_layout.ok()) {
-      s.fused = true;
-      s.record_bytes = record_layout.value().record_bytes;
-    }
-  }
+  s.fused = mode == StageMode::kFusedRecords;
+  s.record_bytes =
+      s.fused ? FusedRecordLayout::Make(plan).value().record_bytes : 0;
   // Wire bytes per device-bound row, measured the same way the memory
   // estimators measure it.
   constexpr uint64_t kProbeRows = 1024;
@@ -164,9 +156,8 @@ gpusim::PartitionedShape PartitionedGroupBy::MakeShape(
   // PartitionedTime charges per-chunk overheads for exactly the chunks the
   // runtime will dispatch.
   uint64_t max_rows = 0;
-  s.num_partitions = ChooseFanOut(
-      plan, rows, s.groups, min_device_memory, num_devices,
-      s.fused ? StageMode::kFusedRecords : StageMode::kSoA, &max_rows);
+  s.num_partitions = ChooseFanOut(plan, rows, s.groups, min_device_memory,
+                                  num_devices, mode, &max_rows);
   s.max_rows_per_chunk = max_rows;
   return s;
 }
@@ -212,12 +203,9 @@ Result<GroupByOutput> PartitionedGroupBy::Execute(
     estimated_groups = std::max<uint64_t>(1, sketch.Estimate());
   }
 
-  // Device chunks' staging mode: the same cost-based fused-vs-SoA decision
-  // the single-device path makes (per-chunk ExecuteToGroups re-decides
-  // with the chunk's own estimates; this level only needs it for chunk
-  // sizing and memory forecasts).
-  const StageMode mode = GpuGroupBy::ChooseStageMode(
-      plan, cost, options.gpu, total_rows, pool_dop);
+  // Every device chunk stages in this one mode: chunk sizing, each chunk's
+  // placement bytes and its own reservation all follow it.
+  const StageMode mode = StageModeFor(plan, options.gpu.allow_fusion);
   stats->stage_mode = mode;
 
   // Smallest device bounds the chunk size (heterogeneous devices allowed).
@@ -289,16 +277,11 @@ Result<GroupByOutput> PartitionedGroupBy::Execute(
     return a < b;
   });
 
-  gpusim::PartitionedShape shape =
-      MakeShape(plan, total_rows, estimated_groups, min_device_mem,
-                num_devices, options.gpu.allow_fusion, options.cpu_dop,
-                pool_dop);
-  shape.fused = mode == StageMode::kFusedRecords;
-  shape.max_rows_per_chunk = max_rows;
-  shape.num_partitions = num_partitions;
   double cpu_fraction = options.cpu_split_fraction;
   if (cpu_fraction < 0.0) {
-    cpu_fraction = cost.ChoosePartitionedCpuFraction(shape);
+    cpu_fraction = cost.ChoosePartitionedCpuFraction(
+        MakeShape(plan, total_rows, estimated_groups, min_device_mem,
+                  num_devices, mode, options.cpu_dop, pool_dop));
   }
   cpu_fraction = std::clamp(cpu_fraction, 0.0, 1.0);
   stats->cpu_split_fraction = cpu_fraction;
@@ -379,15 +362,10 @@ Result<GroupByOutput> PartitionedGroupBy::Execute(
   // retry the partition on the CPU.
   auto run_device = [&](uint32_t p, PartitionSlot* slot) -> Status {
     const std::vector<uint32_t>& sel = partitions[p];
-    GpuGroupByOptions gopts = options.gpu;
-    gopts.estimated_rows = sel.size();
-    gopts.estimated_groups =
-        std::max<uint64_t>(1, estimated_groups / num_partitions);
-    const uint64_t capacity = ChooseCapacity(gopts.estimated_groups);
-    const uint64_t need =
-        mode == StageMode::kFusedRecords
-            ? GpuGroupBy::FusedDeviceBytesNeeded(plan, sel.size(), capacity)
-            : GpuGroupBy::DeviceBytesNeeded(plan, sel.size(), capacity);
+    const uint64_t need = GpuGroupBy::DeviceBytesNeeded(
+        plan, mode, sel.size(),
+        ChooseCapacity(
+            std::max<uint64_t>(1, estimated_groups / num_partitions)));
     SimTime waited = 0;
     auto pick = scheduler->PickDeviceWithWait(need, &waited, options.wait);
     slot->wait = waited;
@@ -396,7 +374,7 @@ Result<GroupByOutput> PartitionedGroupBy::Execute(
     slot->device_id = device->id();
     auto raw = GpuGroupBy::ExecuteToGroups(plan, device, pinned_pool,
                                            thread_pool, moderator, &sel,
-                                           gopts, &slot->gpu);
+                                           options.gpu, &slot->gpu);
     BLUSIM_RETURN_NOT_OK(raw.status());
     GpuGroupBy::RawOutput r = std::move(raw).value();
     slot->gpu_groups = std::move(r.groups);

@@ -103,12 +103,13 @@ class PartitionedGroupBy {
                                   StageMode mode = StageMode::kSoA);
 
   // Builds the cost-model shape for a prospective partitioned execution
-  // (the router's upgrade decision and the split-fraction choice).
+  // (the router's upgrade decision and the split-fraction choice) whose
+  // device chunks stage in `mode`, as StageModeFor returns it for `plan`.
   // `min_device_memory` bounds the per-chunk row count the same way
   // Execute's partition sizing does.
   static gpusim::PartitionedShape MakeShape(
       const runtime::GroupByPlan& plan, uint64_t rows, uint64_t groups,
-      uint64_t min_device_memory, int num_devices, bool allow_fusion,
+      uint64_t min_device_memory, int num_devices, StageMode mode,
       int cpu_dop, int stage_dop);
 };
 

@@ -371,6 +371,11 @@ uint64_t UnfusedStagedBytes(const GroupByPlan& plan, uint64_t rows) {
   return bytes;
 }
 
+StageMode StageModeFor(const GroupByPlan& plan, bool fusion) {
+  return fusion && !plan.wide_key() ? StageMode::kFusedRecords
+                                    : StageMode::kSoA;
+}
+
 Result<StagedInput> StageForDevice(const GroupByPlan& plan,
                                    gpusim::PinnedHostPool* pinned_pool,
                                    runtime::ThreadPool* pool,
@@ -378,8 +383,7 @@ Result<StagedInput> StageForDevice(const GroupByPlan& plan,
                                    StageMode mode) {
   // A deferred predicate can only be evaluated by the fused sweep; the SoA
   // MEMCPY chain expects its filter to have run upstream (FilterScan), so a
-  // plan carrying a stage filter always takes the fused path regardless of
-  // the cost-based mode choice.
+  // plan carrying a stage filter always takes the fused path.
   if (mode == StageMode::kFusedRecords || !plan.stage_filter().empty()) {
     return StageFusedRecords(plan, pinned_pool, pool, selection);
   }

@@ -27,6 +27,12 @@ enum class StageMode {
   kFusedRecords,
 };
 
+// The one definition of a group-by's stage mode: fused records exactly
+// when fusion is on and the grouping key packs into <= 64 bits (the only
+// keys FusedRecordLayout can carry); SoA otherwise. There is no per-query
+// cost comparison -- fusion is the data path, not a bet.
+StageMode StageModeFor(const runtime::GroupByPlan& plan, bool fusion);
+
 // The MEMCPY evaluator's output (paper section 4.1): the group-by chain's
 // inputs staged contiguously in pre-registered (pinned) host memory, ready
 // for a single fast PCIe transfer.

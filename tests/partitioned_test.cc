@@ -172,12 +172,14 @@ TEST_F(PartitionedTest, FusedChunksPackMoreRowsThanSoA) {
   const uint64_t table_bytes = layout.TableBytes(ChooseCapacity(groups));
   constexpr uint64_t kProbeRows = 4096;
   const uint64_t fused_per_row =
-      (GpuGroupBy::FusedDeviceBytesNeeded(plan.value(), kProbeRows, 64) -
+      (GpuGroupBy::DeviceBytesNeeded(plan.value(), StageMode::kFusedRecords,
+                                     kProbeRows, 64) -
        layout.TableBytes(64)) /
       kProbeRows;
   EXPECT_EQ(fused, (budget - table_bytes) / fused_per_row);
   const uint64_t soa_per_row =
-      (GpuGroupBy::DeviceBytesNeeded(plan.value(), kProbeRows, 64) -
+      (GpuGroupBy::DeviceBytesNeeded(plan.value(), StageMode::kSoA,
+                                     kProbeRows, 64) -
        layout.TableBytes(64)) /
       kProbeRows;
   EXPECT_EQ(soa, (budget - table_bytes) / soa_per_row);
@@ -211,10 +213,18 @@ TEST_F(PartitionedTest, ChunkCountsTrackStageMode) {
                                            &pinned_, &pool_, &moderator_,
                                            selection, popts, &stats);
     ASSERT_TRUE(out.ok()) << out.status().ToString();
-    if (!allow_fusion) {
-      EXPECT_EQ(stats.stage_mode, StageMode::kSoA);
-    }
+    EXPECT_EQ(stats.stage_mode,
+              allow_fusion ? StageMode::kFusedRecords : StageMode::kSoA);
     EXPECT_EQ(stats.num_partitions, expected_fanout(stats.stage_mode));
+    // One stage mode end to end: every device chunk staged in it.
+    int gpu_chunks = 0;
+    for (const PartitionChunkStats& chunk : stats.chunks) {
+      if (!chunk.on_gpu) continue;
+      ++gpu_chunks;
+      EXPECT_EQ(chunk.gpu.fused,
+                stats.stage_mode == StageMode::kFusedRecords);
+    }
+    EXPECT_GT(gpu_chunks, 0);
   }
 }
 
